@@ -22,7 +22,6 @@ from .materials import (
     inverse_chi2,
     load_builtin_material,
     load_dispersion_model,
-    material_optics_from_models,
     poling_profile,
     refractive_index,
     wavenumber,

@@ -6,8 +6,7 @@ brute-force oracle), ``scan`` (CSV of rate vs a swept variable), ``table``
 search). All output is deterministic: identical configs give byte-identical
 output. Numbers are printed with 12 significant digits in scientific
 notation. Errors go to stderr with a nonzero exit code (1 validation,
-2 numerical). The environment variable SPDC_THREADS caps worker threads in
-the brute-force integrals.
+2 numerical).
 """
 
 from __future__ import annotations
@@ -100,9 +99,7 @@ def _scan_rate_at(config: ExperimentConfig, variable: str, x: float):
         cfg = dataclasses.replace(config, waist_p=x, waist_1=x, waist_2=x)
         beams = cfg.beam_triple()
     elif variable == "Lz":
-        cfg = dataclasses.replace(config, crystal_length=x)
-        material = cfg.material_optics()
-        beams = cfg.beam_triple()
+        beams = dataclasses.replace(config, crystal_length=x).beam_triple()
     elif variable == "delta_k":
         beams = config.beam_triple()
     else:
@@ -221,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdc",
         description="Absolute brightness of Gaussian-beam SPDC sources.",
-        epilog="SPDC_THREADS caps worker threads in brute-force integrals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -58,7 +58,9 @@ class ExperimentConfig:
     """Validated experiment description.
 
     ``indices`` holds (n_p, n_1, n_2, ng_p, ng_1, ng_2) either given
-    literally or evaluated from dispersion files at the band centers.
+    literally or evaluated from dispersion files at the band centers. The
+    phase indices and the crystal length go to ``beam_triple``, the group
+    indices to ``material_optics``.
     """
 
     lambda_p: float
@@ -72,20 +74,15 @@ class ExperimentConfig:
     indices: tuple
     pump_power: float
     pump_bandwidth: float
-    pump_shape: str = "gaussian"
     poling_period: Optional[float] = None
-    transverse_dims: Optional[tuple] = None
     run: dict = field(default_factory=dict)
 
     def material_optics(self) -> MaterialOptics:
-        n_p, n_1, n_2, ng_p, ng_1, ng_2 = self.indices
+        ng_p, ng_1, ng_2 = self.indices[3:]
         return MaterialOptics(
-            n_p=n_p, n_1=n_1, n_2=n_2,
             ng_p=ng_p, ng_1=ng_1, ng_2=ng_2,
             d_eff=self.d_eff,
-            crystal_length=self.crystal_length,
             poling_period=self.poling_period,
-            transverse_dims=self.transverse_dims,
         )
 
     def beam_triple(self) -> BeamTriple:
@@ -102,7 +99,6 @@ class ExperimentConfig:
             power=self.pump_power,
             central_lambda=self.lambda_p,
             bandwidth=self.pump_bandwidth,
-            shape=self.pump_shape,
         )
 
 
@@ -195,14 +191,13 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     poling = material.get("poling_period_m")
     if poling is not None:
         poling = _positive(float(poling), "material.poling_period_m")
+    # informational only: validated, not stored
     tdims = material.get("transverse_dims_m")
     if tdims is not None:
         if not (isinstance(tdims, (list, tuple)) and len(tdims) == 2):
             raise ConfigError("material.transverse_dims_m: expected [Lx, Ly]")
-        tdims = (
-            _positive(float(tdims[0]), "material.transverse_dims_m[0]"),
-            _positive(float(tdims[1]), "material.transverse_dims_m[1]"),
-        )
+        _positive(float(tdims[0]), "material.transverse_dims_m[0]")
+        _positive(float(tdims[1]), "material.transverse_dims_m[1]")
 
     indices = _indices_from_block(material, (lam_p, lam_1, lam_2), base_dir)
 
@@ -219,8 +214,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         waist_p=waist_p, waist_1=waist_1, waist_2=waist_2,
         d_eff=d_eff, crystal_length=Lz,
         indices=indices,
-        pump_power=power, pump_bandwidth=bandwidth, pump_shape=shape,
-        poling_period=poling, transverse_dims=tdims,
+        pump_power=power, pump_bandwidth=bandwidth,
+        poling_period=poling,
         run=dict(run),
     )
 

@@ -236,36 +236,29 @@ def domain_walls(poling_period: Optional[float], Lz: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaterialOptics:
-    """Everything the rate formulas need from the crystal at one wavelength triple.
+    """What the rate formulas need from the crystal beyond the beams.
 
-    Indices are dimensionless; d_eff in m/V; lengths in meters. ``chi2_eff``
-    is tied to ``d_eff`` by definition (chi2 = 2 d_eff) and is validated at
-    construction.
+    Phase indices and the crystal length belong to the beams
+    (``GaussianMode.n``, ``BeamTriple.crystal_length``); this holds the
+    group indices at the three band centers, d_eff (m/V) and the optional
+    poling period (m). ``chi2_eff`` is tied to ``d_eff`` by definition
+    (chi2 = 2 d_eff).
     """
 
-    n_p: float
-    n_1: float
-    n_2: float
     ng_p: float
     ng_1: float
     ng_2: float
     d_eff: float
-    crystal_length: float
     poling_period: Optional[float] = None
-    transverse_dims: Optional[tuple] = None  # (Lx, Ly), informational
 
     def __post_init__(self):
-        for name in ("n_p", "n_1", "n_2", "ng_p", "ng_1", "ng_2"):
+        for name in ("ng_p", "ng_1", "ng_2"):
             v = getattr(self, name)
             if v < 1.0:
                 raise DomainError(f"{name} must be >= 1, got {v}")
         if self.d_eff < 0.0:
             # zero is allowed: a switched-off nonlinearity must give rate 0
             raise DomainError(f"d_eff must be nonnegative, got {self.d_eff}")
-        if self.crystal_length <= 0.0:
-            raise DomainError(
-                f"crystal length must be positive, got {self.crystal_length}"
-            )
         if self.poling_period is not None and self.poling_period <= 0.0:
             raise DomainError(
                 f"poling period must be positive, got {self.poling_period}"
@@ -275,33 +268,6 @@ class MaterialOptics:
     def chi2_eff(self) -> float:
         """Effective susceptibility chi^(2) = 2 d_eff (m/V)."""
         return 2.0 * self.d_eff
-
-
-def material_optics_from_models(
-    pump_model: DispersionModel,
-    signal_model: DispersionModel,
-    idler_model: DispersionModel,
-    lambda_p: float,
-    lambda_1: float,
-    lambda_2: float,
-    d_eff: float,
-    crystal_length: float,
-    poling_period: Optional[float] = None,
-    transverse_dims: Optional[tuple] = None,
-) -> MaterialOptics:
-    """Evaluate dispersion models at the three central wavelengths."""
-    return MaterialOptics(
-        n_p=refractive_index(pump_model, lambda_p),
-        n_1=refractive_index(signal_model, lambda_1),
-        n_2=refractive_index(idler_model, lambda_2),
-        ng_p=group_index(pump_model, lambda_p),
-        ng_1=group_index(signal_model, lambda_1),
-        ng_2=group_index(idler_model, lambda_2),
-        d_eff=d_eff,
-        crystal_length=crystal_length,
-        poling_period=poling_period,
-        transverse_dims=transverse_dims,
-    )
 
 
 def _model_from_dict(raw: dict, source: str) -> DispersionModel:

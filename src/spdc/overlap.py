@@ -120,6 +120,19 @@ def a_plus_b_plus(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
     return sigma * num / (k_p * k_p * xi_1 * xi_2 * xi_p)
 
 
+def phase_mismatch_coefficients(ng_p, ng_1, ng_2, Lz, c) -> tuple:
+    """First-order derivatives of phi = dk * Lz in the two detunings (s).
+
+    Returns (d phi / d delta_omega_pump, d phi / d delta_omega_minus) for the
+    sum detuning (w1 - w10) + (w2 - w20) and the difference detuning
+    (w1 - w10) - (w2 - w20).
+    """
+    return (
+        (ng_1 + ng_2 - 2.0 * ng_p) / (2.0 * c) * Lz,
+        (ng_1 - ng_2) / (2.0 * c) * Lz,
+    )
+
+
 def phase_mismatch_phi(
     delta_omega_pump: float,
     delta_omega_minus: float,
@@ -137,12 +150,12 @@ def phase_mismatch_phi(
     rad/s. ``qpm_shift`` adds any residual mismatch at band center (0 for
     perfect quasi-phase matching). Accepts arrays.
     """
-    coeff_sum = (ng_1 + ng_2 - 2.0 * ng_p) / (2.0 * c)
-    coeff_diff = (ng_1 - ng_2) / (2.0 * c)
+    coeff_sum, coeff_diff = phase_mismatch_coefficients(ng_p, ng_1, ng_2, Lz, c)
     return (
         coeff_sum * np.asarray(delta_omega_pump)
         + coeff_diff * np.asarray(delta_omega_minus)
-    ) * Lz + qpm_shift
+        + qpm_shift
+    )
 
 
 def overlap_params(beams: BeamTriple, delta_k: float = 0.0) -> OverlapParams:
@@ -226,7 +239,6 @@ def overlap_direct(
     smooth. Units m/V * m.
     """
     Lz = beams.crystal_length
-    k_p, k_1, k_2 = beams.wavevectors()
 
     def denominator(z):
         qb_p = scaled_beam_parameter(beams.pump, z)

@@ -21,32 +21,22 @@ power (N * P / (hbar omega_p) with P = 1 mW).
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .beams import BeamTriple, GaussianMode
-from .errors import (
-    ConfigError,
-    DegenerateDispersionError,
-    DomainError,
-    QuadratureError,
-)
+from .errors import DegenerateDispersionError, DomainError, QuadratureError
 from .materials import CONSTANTS, MaterialOptics, PhysicalConstants
 from .overlap import (
     OverlapParams,
-    a_plus_b_plus,
-    aggregate_focal_parameter,
-    normalization_coefficient,
     overlap_params,
+    phase_mismatch_coefficients,
     phase_mismatch_phi,
-    quadratic_coefficient,
 )
-from .quadrature import ell_integral, gauss_legendre, panel_edges, panel_nodes
+from .quadrature import ell_integral, panel_edges, panel_nodes
 
 _MILLIWATT = 1e-3
 # relative ng_1 == ng_2 threshold below which the linear model is refused
@@ -58,19 +48,16 @@ METHOD_BRUTE_FORCE = "brute_force"
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Pump field: power, central wavelength and normalized spectral shape.
+    """Pump field: power, central wavelength and Gaussian spectral shape.
 
-    ``bandwidth`` is the RMS width (rad/s) of the spectral density |s|^2;
-    the density integrates to one, which is re-verified numerically at
-    construction. CW operation is the narrowband limit: pick a bandwidth
-    much smaller than the phase-matching bandwidth.
+    ``bandwidth`` is the RMS width (rad/s) of the spectral density |s|^2,
+    which integrates to one. CW operation is the narrowband limit: pick a
+    bandwidth much smaller than the phase-matching bandwidth.
     """
 
     power: float
     central_lambda: float
     bandwidth: float
-    shape: str = "gaussian"
-    n_photons_per_pulse: Optional[float] = None
 
     def __post_init__(self):
         if self.power <= 0.0:
@@ -82,13 +69,6 @@ class PumpSpec:
         if self.bandwidth <= 0.0:
             raise DomainError(
                 f"pump bandwidth must be positive, got {self.bandwidth}"
-            )
-        if self.shape != "gaussian":
-            raise ConfigError(f"unsupported pump spectral shape {self.shape!r}")
-        norm = self._numeric_norm()
-        if abs(norm - 1.0) > 1e-9:
-            raise DomainError(
-                f"pump spectral density integrates to {norm!r}, expected 1"
             )
 
     def omega0(self, constants: PhysicalConstants = CONSTANTS) -> float:
@@ -110,12 +90,6 @@ class PumpSpec:
         return np.exp(-(d * d) / (2.0 * sigma * sigma)) / (
             sigma * math.sqrt(2.0 * math.pi)
         )
-
-    def _numeric_norm(self) -> float:
-        x, w = gauss_legendre(200)
-        half = 12.0 * self.bandwidth
-        omega = self.omega0() + half * x
-        return float(half * np.sum(w * self.spectral_density(omega)))
 
 
 @dataclass(frozen=True)
@@ -160,27 +134,6 @@ def pairs_per_second(
     return pairs_per_pump_photon * power / (constants.hbar * omega_p)
 
 
-def _check_material_beams(material: MaterialOptics, beams: BeamTriple):
-    pairs = (
-        ("n_p", material.n_p, beams.pump.n),
-        ("n_1", material.n_1, beams.signal.n),
-        ("n_2", material.n_2, beams.idler.n),
-    )
-    for name, nm, nb in pairs:
-        if abs(nm - nb) > 1e-6 * max(nm, nb):
-            raise DomainError(
-                f"material {name}={nm!r} disagrees with the beam mode index "
-                f"{nb!r}; material and beams must describe one configuration"
-            )
-    if abs(material.crystal_length - beams.crystal_length) > 1e-12 * max(
-        material.crystal_length, beams.crystal_length
-    ):
-        raise DomainError(
-            "material and beams disagree on crystal length "
-            f"({material.crystal_length!r} vs {beams.crystal_length!r})"
-        )
-
-
 def _require_nondegenerate(material: MaterialOptics):
     dng = abs(material.ng_1 - material.ng_2)
     if dng <= _DEGENERATE_NG_RTOL * max(material.ng_1, material.ng_2):
@@ -197,23 +150,21 @@ def pairs_closed_form(
     constants: PhysicalConstants = CONSTANTS,
 ) -> RateResult:
     """Closed-form pair probability per pump photon and rate per s per mW."""
-    _check_material_beams(material, beams)
     _require_nondegenerate(material)
 
-    k_p, k_1, k_2 = beams.wavevectors()
-    xi_p, xi_1, xi_2 = beams.xi_p, beams.xi_1, beams.xi_2
-    xi = aggregate_focal_parameter(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    ab = a_plus_b_plus(k_p, k_1, k_2, xi_p, xi_1, xi_2)
+    params = overlap_params(beams)
+    xi, ab = params.xi_agg, params.a_plus_b_plus
     if xi <= 0.0 or ab <= 0.0:
         raise DomainError(
             f"aggregate parameters xi={xi:.4g}, A+B+={ab:.4g} must be "
             "positive; configuration outside the validity of the rate formula"
         )
 
+    n_p, n_1, n_2 = beams.pump.n, beams.signal.n, beams.idler.n
     dng = abs(material.ng_1 - material.ng_2)
     index_factor = (
         material.ng_1 * material.ng_2 * material.ng_p
-        / (material.n_p ** 3 * material.n_1 * material.n_2 * dng)
+        / (n_p ** 3 * n_1 * n_2 * dng)
     )
     lam_1 = beams.signal.lambda_vac
     lam_2 = beams.idler.lambda_vac
@@ -232,16 +183,6 @@ def pairs_closed_form(
         a_plus_b_plus=ab,
         method=METHOD_CLOSED_FORM,
     )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SPDC_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _auto_phi_halfwidth(xi: float, target: float) -> float:
@@ -274,36 +215,18 @@ def _pair_integral_2d(
     dwp_nodes, dwp_w = panel_nodes(dwp_edges, order_p)
     dwm_nodes, dwm_w = panel_nodes(dwm_edges, order_m)
     s2 = pump.spectral_density(pump.omega0(constants) + dwp_nodes, constants)
-
-    n_threads = _thread_count()
-
-    def rows(block):
-        phis = phi_fn(dwp_nodes[block, None], dwm_nodes[None, :])
-        F = np.abs(ell_integral(phis, xi, C)) ** 2
-        return F @ dwm_w
-
-    blocks = np.array_split(np.arange(len(dwp_nodes)), max(1, n_threads))
-    blocks = [b for b in blocks if b.size]
-    if n_threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(rows, blocks))
-    else:
-        parts = [rows(b) for b in blocks]
-    inner = np.concatenate(parts)
+    phis = phi_fn(dwp_nodes[:, None], dwm_nodes[None, :])
+    inner = np.abs(ell_integral(phis, xi, C)) ** 2 @ dwm_w
     return float(np.sum(dwp_w * s2 * inner))
 
 
 def _brute_force_prefactor(
     material: MaterialOptics,
     beams: BeamTriple,
+    D: float,
     constants: PhysicalConstants,
 ) -> float:
     """All frequency-independent coefficients of the probability integral."""
-    k_p, k_1, k_2 = beams.wavevectors()
-    xi_p, xi_1, xi_2 = beams.xi_p, beams.xi_1, beams.xi_2
-    D = normalization_coefficient(
-        k_p, k_1, k_2, xi_p, xi_1, xi_2, beams.crystal_length
-    )
     w_p, w_1, w_2 = beams.waists()
     lam_p = beams.pump.lambda_vac
     lam_1 = beams.signal.lambda_vac
@@ -313,7 +236,7 @@ def _brute_force_prefactor(
         4.0 * math.pi * constants.hbar * (chi * chi)
         / (constants.epsilon0 * lam_p * lam_1 * lam_2)
         * material.ng_1 * material.ng_2 * material.ng_p
-        / (material.n_p ** 2 * material.n_1 ** 2 * material.n_2 ** 2)
+        / (beams.pump.n ** 2 * beams.signal.n ** 2 * beams.idler.n ** 2)
         * (w_p * w_1 * w_2) ** 2
         * D * D
     )
@@ -323,6 +246,7 @@ def _brute_force_common(
     material: MaterialOptics,
     beams: BeamTriple,
     pump: PumpSpec,
+    params: OverlapParams,
     constants: PhysicalConstants,
     phi_fn: Callable,
     dwm_edges: np.ndarray,
@@ -332,11 +256,7 @@ def _brute_force_common(
     tail_abs: float,
     diag: dict,
 ) -> RateResult:
-    k_p, k_1, k_2 = beams.wavevectors()
-    xi_p, xi_1, xi_2 = beams.xi_p, beams.xi_1, beams.xi_2
-    xi = aggregate_focal_parameter(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    C = quadratic_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    ab = a_plus_b_plus(k_p, k_1, k_2, xi_p, xi_1, xi_2)
+    xi, C = params.xi_agg, params.C_quad
 
     w_half = pump_halfwidth_sigmas * pump.bandwidth
     dwp_edges = panel_edges(-w_half, w_half, 1.5 * pump.bandwidth)
@@ -363,7 +283,9 @@ def _brute_force_common(
             estimate=quad_est,
         )
 
-    n_pairs = 0.5 * _brute_force_prefactor(material, beams, constants) * fine
+    n_pairs = 0.5 * _brute_force_prefactor(
+        material, beams, params.D_norm, constants
+    ) * fine
     omega_p = 2.0 * math.pi * constants.c / beams.pump.lambda_vac
     diag = dict(diag)
     diag["quad_refinement_estimate"] = quad_est
@@ -372,7 +294,7 @@ def _brute_force_common(
         pairs_per_pump_photon=n_pairs,
         pairs_per_s_per_mW=pairs_per_second(n_pairs, _MILLIWATT, omega_p, constants),
         xi_agg=xi,
-        a_plus_b_plus=ab,
+        a_plus_b_plus=params.a_plus_b_plus,
         method=METHOD_BRUTE_FORCE,
         quadrature_error_estimate=quad_est + truncation,
         diagnostics=diag,
@@ -403,20 +325,16 @@ def pairs_via_bruteforce(
     Window overrides: ``phi_halfwidth`` (in phi units). The quadrature
     refinement estimate must come in under ``quad_tol``.
     """
-    _check_material_beams(material, beams)
     _require_nondegenerate(material)
     if quad_tol <= 0.0:
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")
 
-    Lz = beams.crystal_length
-    c = constants.c
-    coeff_p = (material.ng_1 + material.ng_2 - 2.0 * material.ng_p) / (2.0 * c) * Lz
-    coeff_m = (material.ng_1 - material.ng_2) / (2.0 * c) * Lz
-
-    k_p, k_1, k_2 = beams.wavevectors()
-    xi = aggregate_focal_parameter(
-        k_p, k_1, k_2, beams.xi_p, beams.xi_1, beams.xi_2
+    coeff_p, coeff_m = phase_mismatch_coefficients(
+        material.ng_p, material.ng_1, material.ng_2,
+        beams.crystal_length, constants.c,
     )
+    params = overlap_params(beams)
+    xi = params.xi_agg
     if phi_halfwidth is None:
         phi_halfwidth = _auto_phi_halfwidth(xi, target_truncation)
 
@@ -438,7 +356,7 @@ def pairs_via_bruteforce(
         "pump_halfwidth_sigmas": pump_halfwidth_sigmas,
     }
     return _brute_force_common(
-        material, beams, pump, constants, phi_fn,
+        material, beams, pump, params, constants, phi_fn,
         dwm_edges, dwm_coarse, quad_tol, pump_halfwidth_sigmas,
         tail_abs, diag,
     )
@@ -464,22 +382,20 @@ def pairs_degenerate_numeric(
     case. ``gvd_kappa0`` is the group-velocity-dispersion coefficient at the
     degenerate point (s^2/m).
     """
-    _check_material_beams(material, beams)
     if gvd_kappa0 == 0.0:
         raise DomainError("gvd_kappa0 must be nonzero for the degenerate path")
     if quad_tol <= 0.0:
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")
 
     Lz = beams.crystal_length
-    c = constants.c
-    coeff_p = (material.ng_1 + material.ng_2 - 2.0 * material.ng_p) / (2.0 * c) * Lz
+    coeff_p, _ = phase_mismatch_coefficients(
+        material.ng_p, material.ng_1, material.ng_2, Lz, constants.c
+    )
     quad_coeff = 0.25 * abs(gvd_kappa0) * Lz
     sign = 1.0 if gvd_kappa0 > 0 else -1.0
 
-    k_p, k_1, k_2 = beams.wavevectors()
-    xi = aggregate_focal_parameter(
-        k_p, k_1, k_2, beams.xi_p, beams.xi_1, beams.xi_2
-    )
+    params = overlap_params(beams)
+    xi = params.xi_agg
     if phi_halfwidth is None:
         # quadratic phi decays faster in dwm; the linear-model window is
         # conservative here
@@ -511,7 +427,7 @@ def pairs_degenerate_numeric(
         "gvd_kappa0": gvd_kappa0,
     }
     return _brute_force_common(
-        material, beams, pump, constants, phi_fn,
+        material, beams, pump, params, constants, phi_fn,
         dwm_edges, dwm_coarse, quad_tol, pump_halfwidth_sigmas,
         tail_abs, diag,
     )
@@ -559,7 +475,6 @@ def make_overlap_evaluator(
     qpm_shift: float = 0.0,
 ) -> OverlapEvaluator:
     """Build the O(w1, w2) evaluator used by the joint spectral amplitude."""
-    _check_material_beams(material, beams)
     return OverlapEvaluator(
         material=material,
         beams=beams,
@@ -583,20 +498,20 @@ def jsa_value(
           * sqrt(ng1 ng2 ngp / (np^2 n1^2 n2^2))
           * s(w1 + w2) * O(w1, w2),
 
-    with central vacuum wavelengths in the prefactor and N_p the pump photon
-    number (1 if the pump spec does not carry one). |psi|^2 integrated over
-    both frequencies is the pair probability. Accepts arrays.
+    with central vacuum wavelengths and phase indices in the prefactor and
+    N_p = 1: |psi|^2 integrated over both frequencies is the pair
+    probability per pump photon. Accepts arrays.
     """
-    n_p = pump.n_photons_per_pulse if pump.n_photons_per_pulse is not None else 1.0
+    beams = overlap.beams
     lam_p0 = pump.central_lambda
-    lam_10 = overlap.beams.signal.lambda_vac
-    lam_20 = overlap.beams.idler.lambda_vac
+    lam_10 = beams.signal.lambda_vac
+    lam_20 = beams.idler.lambda_vac
     pref = math.sqrt(
-        2.0 * math.pi ** 2 * constants.hbar * n_p
+        2.0 * math.pi ** 2 * constants.hbar
         / (constants.epsilon0 * lam_p0 * lam_10 * lam_20)
     ) * math.sqrt(
         material.ng_1 * material.ng_2 * material.ng_p
-        / (material.n_p ** 2 * material.n_1 ** 2 * material.n_2 ** 2)
+        / (beams.pump.n ** 2 * beams.signal.n ** 2 * beams.idler.n ** 2)
     )
     s = pump.spectral_amplitude(np.asarray(omega1) + np.asarray(omega2), constants)
     return pref * s * overlap(omega1, omega2)
@@ -651,9 +566,7 @@ def apply_table_correction(rate_published: float, factor: float) -> float:
 
 def collimated_limit_rates(
     material: MaterialOptics,
-    lambda_p: float,
-    pump_waist_sigma_p: float,
-    Lz: float,
+    beams: BeamTriple,
     constants: PhysicalConstants = CONSTANTS,
 ) -> tuple:
     """Collimated-limit (xi -> 0) type-II rates per second per milliwatt.
@@ -661,26 +574,26 @@ def collimated_limit_rates(
     Returns (R_SM, R_revised): the single-mode collimated formula with the
     older index factor ng1 ng2 / (n1^2 n2^2 np), and the revised one with
     ng1 ng2 ngp / (n1 n2 np^4). Their ratio is exactly
-    ``tutorial_correction_factor``. ``pump_waist_sigma_p`` is the Gaussian
-    amplitude sigma; the waist convention is w = 2 sigma, and signal/idler
-    collection assumes sigma_1 = sigma_2 = sigma_p sqrt(2).
+    ``tutorial_correction_factor``. The pump wavelength, phase indices and
+    crystal length come from ``beams``, and the pump's Gaussian amplitude
+    sigma_p is half its waist (w = 2 sigma). The formula assumes
+    signal/idler collection with sigma_1 = sigma_2 = sigma_p sqrt(2); the
+    signal and idler waists are not read.
     """
     _require_nondegenerate(material)
-    if pump_waist_sigma_p <= 0.0 or Lz <= 0.0 or lambda_p <= 0.0:
-        raise DomainError("lambda_p, sigma_p and Lz must all be positive")
+    n_p, n_1, n_2 = beams.pump.n, beams.signal.n, beams.idler.n
+    sigma_p = 0.5 * beams.pump.w0
     dng = abs(material.ng_1 - material.ng_2)
-    omega_p = 2.0 * math.pi * constants.c / lambda_p
+    omega_p = 2.0 * math.pi * constants.c / beams.pump.lambda_vac
     common = (
         1.0 / (16.0 * math.pi * constants.epsilon0 * constants.c ** 2)
         * material.d_eff ** 2 * omega_p ** 2 / dng
-        * _MILLIWATT / pump_waist_sigma_p ** 2
-        * Lz
+        * _MILLIWATT / sigma_p ** 2
+        * beams.crystal_length
     )
-    r_sm = common * material.ng_1 * material.ng_2 / (
-        material.n_1 ** 2 * material.n_2 ** 2 * material.n_p
-    )
+    r_sm = common * material.ng_1 * material.ng_2 / (n_1 ** 2 * n_2 ** 2 * n_p)
     r_revised = common * material.ng_1 * material.ng_2 * material.ng_p / (
-        material.n_1 * material.n_2 * material.n_p ** 4
+        n_1 * n_2 * n_p ** 4
     )
     return r_sm, r_revised
 

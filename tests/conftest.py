@@ -30,11 +30,7 @@ LZ = 10e-3
 
 @pytest.fixture(scope="session")
 def ppktp_material():
-    return MaterialOptics(
-        n_p=N_P, n_1=N_1, n_2=N_2,
-        ng_p=NG_P, ng_1=NG_1, ng_2=NG_2,
-        d_eff=D_EFF, crystal_length=LZ,
-    )
+    return MaterialOptics(ng_p=NG_P, ng_1=NG_1, ng_2=NG_2, d_eff=D_EFF)
 
 
 @pytest.fixture(scope="session")

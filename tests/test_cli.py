@@ -240,6 +240,14 @@ class TestConfigLoading:
         assert code == 1
         assert "transverse_dims" in err
 
+    def test_unknown_pump_shape_rejected(self, capsys, tmp_path):
+        doc = load_json(PPKTP_CONFIG)
+        doc["pump"]["shape"] = "sech"
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, _, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 1
+        assert "pump.shape" in err
+
 
 class TestTableCommand:
     def test_shipped_fixture_passes(self, capsys):

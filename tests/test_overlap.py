@@ -48,9 +48,7 @@ def random_beam_config(rng):
         crystal_length=Lz,
     )
     material = MaterialOptics(
-        n_p=n_p, n_1=n_1, n_2=n_2,
-        ng_p=n_p + 0.05, ng_1=n_1 + 0.04, ng_2=n_2 + 0.06,
-        d_eff=2.4e-12, crystal_length=Lz,
+        ng_p=n_p + 0.05, ng_1=n_1 + 0.04, ng_2=n_2 + 0.06, d_eff=2.4e-12,
     )
     delta_k = rng.uniform(-2.0, 2.0) * 2.0 * math.pi / Lz
     return beams, material, delta_k
@@ -234,6 +232,26 @@ class TestOverlapSimplified:
         with pytest.raises(OverlapSingularityError):
             overlap_simplified(params, 4.8e-12, 26e-6, 38e-6, 37e-6, 1e-2)
 
+    def test_converges_at_lobe_zero(self):
+        # phi sits where the axial integral nearly cancels, so its magnitude
+        # cannot set the absolute error floor
+        xi, C, phi = 0.20083582608313252, 0.01326656821367835, -6.70751546026526
+        params = OverlapParams(xi, C, 1.0, 41.3193483938146, phi)
+        got = overlap_simplified(params, 4.8e-12, 1e-5, 1e-5, 1e-5, 1e-2,
+                                 quad_tol=1e-9)
+
+        def part(fn):
+            return quad(
+                lambda l: fn(np.exp(-0.5j * phi * l)
+                             / (1.0 + 1j * l * xi - C * xi * xi * l * l)),
+                -1.0, 1.0, epsabs=1e-12, epsrel=0.0, limit=200,
+            )[0]
+
+        axial = part(np.real) + 1j * part(np.imag)
+        expected = -1j * 4.8e-12 * math.sqrt(2 / math.pi) * 1e-15 * axial
+        assert math.isfinite(abs(got))
+        assert abs(got - expected) <= 1e-9 * 4.8e-12 * 1e-15 * 2.0
+
     def test_nonconvergence_carries_estimate(self):
         # a mismatch far beyond what the subdivision budget can resolve
         from spdc.errors import QuadratureError
@@ -247,12 +265,7 @@ class TestOverlapSimplified:
 
 class TestOverlapDirect:
     def test_zero_nonlinearity(self, ppktp_base_beams):
-        material = MaterialOptics(
-            n_p=ppktp_base_beams.pump.n, n_1=ppktp_base_beams.signal.n,
-            n_2=ppktp_base_beams.idler.n,
-            ng_p=1.81, ng_1=1.76, ng_2=1.85,
-            d_eff=0.0, crystal_length=ppktp_base_beams.crystal_length,
-        )
+        material = MaterialOptics(ng_p=1.81, ng_1=1.76, ng_2=1.85, d_eff=0.0)
         assert overlap_direct(ppktp_base_beams, material, 0.0) == 0.0
 
     def test_collimated_sinc_suppression(self):
@@ -270,7 +283,7 @@ class TestOverlapDirect:
             GaussianMode(lam2, n, math.sqrt(Lz / (k2 * xi))),
             crystal_length=Lz,
         )
-        material = MaterialOptics(n, n, n, 1.85, 1.84, 1.86, 2.4e-12, Lz)
+        material = MaterialOptics(1.85, 1.84, 1.86, 2.4e-12)
         base = abs(overlap_direct(beams, material, 0.0))
         for m in (0.5, 1.5, 2.5, 4.5, 8.5):
             dk = 2.0 * m * math.pi / Lz
@@ -304,7 +317,7 @@ class TestOverlapDirect:
             GaussianMode(lam2, n, math.sqrt(Lz / (k2 * xi))),
             crystal_length=Lz,
         )
-        material = MaterialOptics(n, n, n, 1.85, 1.84, 1.86, 2.4e-12, Lz,
+        material = MaterialOptics(1.85, 1.84, 1.86, 2.4e-12,
                                   poling_period=period)
         dk0 = 2.0 * math.pi / period
         step = 2.0 * math.pi / Lz

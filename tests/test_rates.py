@@ -36,19 +36,17 @@ def zero_chi(material):
 
 class TestPumpSpec:
     def test_normalized_density(self, narrowband_pump):
-        assert abs(narrowband_pump._numeric_norm() - 1.0) <= 1e-9
+        x, w = np.polynomial.legendre.leggauss(200)
+        half = 12.0 * narrowband_pump.bandwidth
+        omega = narrowband_pump.omega0() + half * x
+        norm = half * np.sum(w * narrowband_pump.spectral_density(omega))
+        assert abs(norm - 1.0) <= 1e-9
 
     def test_rejects_bad_fields(self):
         with pytest.raises(DomainError):
             PumpSpec(power=0.0, central_lambda=775e-9, bandwidth=1e10)
         with pytest.raises(DomainError):
             PumpSpec(power=1e-3, central_lambda=775e-9, bandwidth=-1.0)
-
-    def test_rejects_unknown_shape(self):
-        from spdc.errors import ConfigError
-        with pytest.raises(ConfigError):
-            PumpSpec(power=1e-3, central_lambda=775e-9, bandwidth=1e10,
-                     shape="sech")
 
     def test_amplitude_squares_to_density(self, narrowband_pump):
         omega = narrowband_pump.omega0() + 3e9
@@ -92,7 +90,6 @@ class TestClosedForm:
         import dataclasses
         swapped_material = dataclasses.replace(
             ppktp_material,
-            n_1=ppktp_material.n_2, n_2=ppktp_material.n_1,
             ng_1=ppktp_material.ng_2, ng_2=ppktp_material.ng_1,
         )
         swapped_beams = BeamTriple(
@@ -112,16 +109,6 @@ class TestClosedForm:
         degenerate = dataclasses.replace(ppktp_material, ng_2=ppktp_material.ng_1)
         with pytest.raises(DegenerateDispersionError, match="degenerate"):
             pairs_closed_form(degenerate, ppktp_base_beams)
-
-    def test_inconsistent_material_beams_rejected(self, ppktp_material):
-        beams = BeamTriple(
-            pump=GaussianMode(775e-9, 2.2, 30e-6),
-            signal=GaussianMode(1550e-9, 1.73, 40e-6),
-            idler=GaussianMode(1550e-9, 1.81, 40e-6),
-            crystal_length=ppktp_material.crystal_length,
-        )
-        with pytest.raises(DomainError, match="material"):
-            pairs_closed_form(ppktp_material, beams)
 
 
 class TestBruteForce:
@@ -167,18 +154,6 @@ class TestBruteForce:
         assert abs(a.pairs_per_pump_photon - b.pairs_per_pump_photon) \
             <= 0.03 * a.pairs_per_pump_photon
 
-    def test_threads_deterministic(
-        self, ppktp_material, ppktp_base_beams, narrowband_pump, monkeypatch
-    ):
-        beams = equal_focus_beams(ppktp_base_beams, 1.0)
-        monkeypatch.setenv("SPDC_THREADS", "1")
-        serial = pairs_via_bruteforce(ppktp_material, beams, narrowband_pump,
-                                      phi_halfwidth=60.0)
-        monkeypatch.setenv("SPDC_THREADS", "4")
-        threaded = pairs_via_bruteforce(ppktp_material, beams, narrowband_pump,
-                                        phi_halfwidth=60.0)
-        assert serial.pairs_per_pump_photon == threaded.pairs_per_pump_photon
-
     def test_degenerate_dispersion_redirects(
         self, ppktp_material, ppktp_base_beams, narrowband_pump
     ):
@@ -191,7 +166,7 @@ class TestBruteForce:
 def degenerate_setup(Lz, waist=2e-3):
     lamp, lam = 405e-9, 810e-9
     n, ng = 2.2, 2.3
-    material = MaterialOptics(n, n, n, ng, ng, ng, d_eff=4.8e-12, crystal_length=Lz)
+    material = MaterialOptics(ng, ng, ng, d_eff=4.8e-12)
     beams = BeamTriple(
         GaussianMode(lamp, n, waist),
         GaussianMode(lam, n, waist),
@@ -244,8 +219,7 @@ class TestJsa:
     def unit_index_setup(self, unit_group=False):
         Lz = 5e-3
         ng_1, ng_2 = (1.0, 1.0) if unit_group else (1.05, 1.1)
-        material = MaterialOptics(1.0, 1.0, 1.0, 1.0, ng_1, ng_2,
-                                  d_eff=2.4e-12, crystal_length=Lz)
+        material = MaterialOptics(1.0, ng_1, ng_2, d_eff=2.4e-12)
         beams = BeamTriple(
             GaussianMode(775e-9, 1.0, 200e-6),
             GaussianMode(1550e-9, 1.0, 283e-6),
@@ -389,46 +363,54 @@ class TestCorrectionFactors:
             apply_table_correction(1.0, 0.0)
 
 
+def collimated_beams(n, sigma_p, Lz):
+    """775 -> 1550 + 1550 nm beams with w_p = 2 sigma_p and w_1 = w_2 = sqrt(2) w_p."""
+    w_p = 2.0 * sigma_p
+    return BeamTriple(
+        GaussianMode(775e-9, n[0], w_p),
+        GaussianMode(1550e-9, n[1], math.sqrt(2.0) * w_p),
+        GaussianMode(1550e-9, n[2], math.sqrt(2.0) * w_p),
+        crystal_length=Lz,
+    )
+
+
 class TestCollimatedLimit:
     def test_ratio_is_tutorial_factor(self):
         rng = np.random.default_rng(50)
         for _ in range(50):
             n = rng.uniform(1.2, 2.4, 3)
             ng = n + rng.uniform(0.01, 0.2, 3)
-            material = MaterialOptics(n[0], n[1], n[2], ng[0], ng[1], ng[2],
-                                      d_eff=2.4e-12, crystal_length=1e-2)
-            r_sm, r_rev = collimated_limit_rates(material, 775e-9, 100e-6, 1e-2)
+            material = MaterialOptics(ng[0], ng[1], ng[2], d_eff=2.4e-12)
+            r_sm, r_rev = collimated_limit_rates(
+                material, collimated_beams(n, 100e-6, 1e-2)
+            )
             factor = tutorial_correction_factor(n[0], n[1], n[2], ng[0])
             assert r_rev / r_sm == pytest.approx(factor, rel=1e-12)
 
-    def test_scaling_laws(self, ppktp_material):
-        r_sm, r_rev = collimated_limit_rates(ppktp_material, 775e-9, 100e-6, 1e-2)
-        r_sm2, r_rev2 = collimated_limit_rates(ppktp_material, 775e-9, 100e-6, 2e-2)
+    def test_scaling_laws(self, ppktp_material, ppktp_base_beams):
+        n = [m.n for m in (ppktp_base_beams.pump, ppktp_base_beams.signal,
+                           ppktp_base_beams.idler)]
+        r_sm, r_rev = collimated_limit_rates(
+            ppktp_material, collimated_beams(n, 100e-6, 1e-2))
+        r_sm2, r_rev2 = collimated_limit_rates(
+            ppktp_material, collimated_beams(n, 100e-6, 2e-2))
         assert r_sm2 == pytest.approx(2 * r_sm, rel=1e-14)
         assert r_rev2 == pytest.approx(2 * r_rev, rel=1e-14)
-        r_sm3, _ = collimated_limit_rates(ppktp_material, 775e-9, 200e-6, 1e-2)
+        r_sm3, _ = collimated_limit_rates(
+            ppktp_material, collimated_beams(n, 200e-6, 1e-2))
         assert r_sm3 == pytest.approx(r_sm / 4.0, rel=1e-14)
 
     def test_limit_consistency_with_closed_form(self):
-        # xi <= 0.01 with w_p = 2 sigma_p and w_1 = w_2 = 2 sqrt(2) sigma_p
-        lamp, lam = 775e-9, 1550e-9
         n = 1.78
-        ng_p, ng_1, ng_2 = 1.81, 1.76, 1.85
         Lz = 1e-2
-        material = MaterialOptics(n, n, n, ng_p, ng_1, ng_2,
-                                  d_eff=2.4e-12, crystal_length=Lz)
-        k_p = 2 * math.pi * n / lamp
+        material = MaterialOptics(1.81, 1.76, 1.85, d_eff=2.4e-12)
+        k_p = 2 * math.pi * n / 775e-9
         sigma_p = math.sqrt(Lz / (4.0 * k_p * 0.005))  # xi_p = 0.005
-        beams = BeamTriple(
-            GaussianMode(lamp, n, 2.0 * sigma_p),
-            GaussianMode(lam, n, 2.0 * math.sqrt(2.0) * sigma_p),
-            GaussianMode(lam, n, 2.0 * math.sqrt(2.0) * sigma_p),
-            crystal_length=Lz,
-        )
+        beams = collimated_beams((n, n, n), sigma_p, Lz)
         assert beams.xi_p == pytest.approx(0.005, rel=1e-12)
         assert beams.xi_1 == pytest.approx(beams.xi_p, rel=1e-12)
         res = pairs_closed_form(material, beams)
-        _, r_rev = collimated_limit_rates(material, lamp, sigma_p, Lz)
+        _, r_rev = collimated_limit_rates(material, beams)
         assert res.pairs_per_s_per_mW == pytest.approx(r_rev, rel=0.02)
 
 
