@@ -38,7 +38,6 @@ from .overlap import (
     quadratic_coefficient,
 )
 from .rates import (
-    JsaSample,
     PumpSpec,
     RateResult,
     apply_table_correction,
@@ -46,7 +45,6 @@ from .rates import (
     collimated_limit_rates,
     equal_focus_beams,
     focus_optimize,
-    jsa_sample,
     jsa_value,
     make_overlap_evaluator,
     pairs_closed_form,

@@ -30,15 +30,22 @@ from .rates import PumpSpec
 _ENERGY_CONSERVATION_RTOL = 1e-6
 
 
-def _get(block: dict, key: str, where: str, typ=float):
+def _number(value, where: str) -> float:
+    """A finite JSON number as float; json also accepts NaN and Infinity."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+
+
+def _get(block: dict, key: str, where: str) -> float:
     if key not in block:
         raise ConfigError(f"{where}.{key}: missing required field")
-    value = block[key]
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
-    return value
+    return _number(block[key], f"{where}.{key}")
 
 
 def _positive(value: float, where: str) -> float:
@@ -190,14 +197,16 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     )
     poling = material.get("poling_period_m")
     if poling is not None:
-        poling = _positive(float(poling), "material.poling_period_m")
+        where = "material.poling_period_m"
+        poling = _positive(_number(poling, where), where)
     # informational only: validated, not stored
     tdims = material.get("transverse_dims_m")
     if tdims is not None:
         if not (isinstance(tdims, (list, tuple)) and len(tdims) == 2):
             raise ConfigError("material.transverse_dims_m: expected [Lx, Ly]")
-        _positive(float(tdims[0]), "material.transverse_dims_m[0]")
-        _positive(float(tdims[1]), "material.transverse_dims_m[1]")
+        for i, value in enumerate(tdims):
+            where = f"material.transverse_dims_m[{i}]"
+            _positive(_number(value, where), where)
 
     indices = _indices_from_block(material, (lam_p, lam_1, lam_2), base_dir)
 

@@ -172,6 +172,12 @@ def overlap_params(beams: BeamTriple, delta_k: float = 0.0) -> OverlapParams:
     )
 
 
+def overlap_prefactor(chi_eff: float, waists: tuple, D_norm: float) -> complex:
+    """Factor -i chi_eff sqrt(2/pi) w_p w_1 w_2 D in front of the reduced axial integral."""
+    w_p, w_1, w_2 = waists
+    return -1j * chi_eff * math.sqrt(2.0 / math.pi) * w_p * w_1 * w_2 * D_norm
+
+
 def _denominator_minimum(xi: float, C: float) -> float:
     """Minimum of |1 + i l xi - C xi^2 l^2| over l in [-1, 1]."""
     # |den|^2 = (1 - C xi^2 u)^2 + xi^2 u with u = l^2 in [0, 1]
@@ -218,8 +224,7 @@ def overlap_simplified(
         )
 
     value, _err = complex_quad(integrand, -1.0, 1.0, tol=quad_tol)
-    prefactor = -1j * chi_eff * math.sqrt(2.0 / math.pi) * w_p * w_1 * w_2
-    return prefactor * params.D_norm * value
+    return overlap_prefactor(chi_eff, (w_p, w_1, w_2), params.D_norm) * value
 
 
 def overlap_direct(

@@ -11,8 +11,9 @@ holds for linear phase matching (nondegenerate or type-II) with the
 quadratic denominator coefficient C ~ 0. ``pairs_via_bruteforce`` evaluates
 the underlying frequency-space probability integral by honest 2-D
 quadrature, with no delta-function shortcut, and serves as the oracle for
-the closed form. Both paths freeze the slowly varying spectral prefactors
-at the band centers so they test the same model.
+the closed form; ``pairs_degenerate_numeric`` runs the same quadrature for
+quadratic phase matching. All paths freeze the slowly varying spectral
+prefactors at the band centers so they test the same model.
 
 Rates are reported per pump photon and per second per milliwatt of pump
 power (N * P / (hbar omega_p) with P = 1 mW).
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .materials import CONSTANTS, MaterialOptics, PhysicalConstants
 from .overlap import (
     OverlapParams,
     overlap_params,
+    overlap_prefactor,
     phase_mismatch_coefficients,
     phase_mismatch_phi,
 )
@@ -41,6 +43,8 @@ from .quadrature import ell_integral, panel_edges, panel_nodes
 _MILLIWATT = 1e-3
 # relative ng_1 == ng_2 threshold below which the linear model is refused
 _DEGENERATE_NG_RTOL = 1e-9
+# brute-force pump window half-width in units of the pump bandwidth sigma
+_PUMP_HALFWIDTH_SIGMAS = 6.0
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_BRUTE_FORCE = "brute_force"
@@ -90,19 +94,6 @@ class PumpSpec:
         return np.exp(-(d * d) / (2.0 * sigma * sigma)) / (
             sigma * math.sqrt(2.0 * math.pi)
         )
-
-
-@dataclass(frozen=True)
-class JsaSample:
-    """One joint-spectral-amplitude sample psi(omega1, omega2).
-
-    Units of psi are such that |psi|^2 integrated over both angular
-    frequencies is the (dimensionless) pair probability.
-    """
-
-    omega1: float
-    omega2: float
-    psi: complex
 
 
 @dataclass(frozen=True)
@@ -200,96 +191,95 @@ def _auto_phi_halfwidth(xi: float, target: float) -> float:
     return min(2.0e4, max(50.0, coeff / target))
 
 
-def _pair_integral_2d(
-    pump: PumpSpec,
-    phi_fn: Callable,
-    xi: float,
-    C: float,
-    dwp_edges: np.ndarray,
-    dwm_edges: np.ndarray,
-    order_p: int,
-    order_m: int,
-    constants: PhysicalConstants,
-) -> float:
-    """Tensor-panel quadrature of |s(wp)|^2 |I_ell(phi)|^2 over (dwp, dwm)."""
-    dwp_nodes, dwp_w = panel_nodes(dwp_edges, order_p)
-    dwm_nodes, dwm_w = panel_nodes(dwm_edges, order_m)
-    s2 = pump.spectral_density(pump.omega0(constants) + dwp_nodes, constants)
-    phis = phi_fn(dwp_nodes[:, None], dwm_nodes[None, :])
-    inner = np.abs(ell_integral(phis, xi, C)) ** 2 @ dwm_w
-    return float(np.sum(dwp_w * s2 * inner))
+def _dwm_panel_edges(coeff_m: float, power: int, phi_halfwidth: float):
+    """Fine and coarse difference-detuning panel edges over the phi window.
 
-
-def _brute_force_prefactor(
-    material: MaterialOptics,
-    beams: BeamTriple,
-    D: float,
-    constants: PhysicalConstants,
-) -> float:
-    """All frequency-independent coefficients of the probability integral."""
-    w_p, w_1, w_2 = beams.waists()
-    lam_p = beams.pump.lambda_vac
-    lam_1 = beams.signal.lambda_vac
-    lam_2 = beams.idler.lambda_vac
-    chi = material.chi2_eff
+    Each side gets m = max(2, ceil(Phi / pi)) panels whose edges sit where
+    |coeff_m| |dwm|^power = Phi k / m, so every panel spans at most pi of
+    phase and the outermost edge maps to exactly ``phi_halfwidth``. The
+    coarse layout drops every other edge and keeps the last one.
+    """
+    m = max(2, int(math.ceil(phi_halfwidth / math.pi)))
+    pos = (phi_halfwidth * (np.arange(m + 1) / m) / abs(coeff_m)) ** (1.0 / power)
+    pos_coarse = pos[::2] if m % 2 == 0 else np.append(pos[::2], pos[-1])
     return (
-        4.0 * math.pi * constants.hbar * (chi * chi)
-        / (constants.epsilon0 * lam_p * lam_1 * lam_2)
-        * material.ng_1 * material.ng_2 * material.ng_p
-        / (beams.pump.n ** 2 * beams.signal.n ** 2 * beams.idler.n ** 2)
-        * (w_p * w_1 * w_2) ** 2
-        * D * D
+        np.concatenate((-pos[::-1], pos[1:])),
+        np.concatenate((-pos_coarse[::-1], pos_coarse[1:])),
     )
 
 
-def _brute_force_common(
+def _bruteforce_rate(
     material: MaterialOptics,
     beams: BeamTriple,
     pump: PumpSpec,
-    params: OverlapParams,
     constants: PhysicalConstants,
-    phi_fn: Callable,
-    dwm_edges: np.ndarray,
-    dwm_edges_coarse: np.ndarray,
     quad_tol: float,
-    pump_halfwidth_sigmas: float,
-    tail_abs: float,
+    coeff_p: float,
+    coeff_m: float,
+    power: int,
+    phi_halfwidth: Optional[float],
+    qpm_shift: float,
     diag: dict,
 ) -> RateResult:
-    xi, C = params.xi_agg, params.C_quad
+    """Integrate |psi|^2 of the joint spectral amplitude over both detunings.
 
-    w_half = pump_halfwidth_sigmas * pump.bandwidth
-    dwp_edges = panel_edges(-w_half, w_half, 1.5 * pump.bandwidth)
-    dwp_coarse = panel_edges(-w_half, w_half, 3.0 * pump.bandwidth)
+    The phase mismatch is phi = coeff_p dwp + coeff_m dwm^power + qpm_shift
+    in the sum (dwp) and difference (dwm) detunings: power 1 is linear
+    phase matching, power 2 the degenerate quadratic one. Tensor
+    Gauss-Legendre panels cover +-6 pump sigmas and the phi window; a pass
+    on a layout with half as many panels per axis gives the refinement
+    estimate, and the analytic 1/phi^2 tail beyond the window the
+    truncation estimate.
+    """
+    if not (quad_tol > 0.0):
+        raise DomainError(f"quad_tol must be positive, got {quad_tol}")
+    params = overlap_params(beams)
+    xi = params.xi_agg
+    if phi_halfwidth is None:
+        phi_halfwidth = _auto_phi_halfwidth(xi, 1e-3)
 
-    fine = _pair_integral_2d(
-        pump, phi_fn, xi, C, dwp_edges, dwm_edges, 8, 8, constants
-    )
-    coarse = _pair_integral_2d(
-        pump, phi_fn, xi, C, dwp_coarse, dwm_edges_coarse, 8, 8, constants
+    sigma = pump.bandwidth
+    w_pump = _PUMP_HALFWIDTH_SIGMAS * sigma
+    dwm_fine, dwm_coarse = _dwm_panel_edges(coeff_m, power, phi_halfwidth)
+
+    def window_integral(dwp_edges, dwm_edges):
+        dwp, dwp_w = panel_nodes(dwp_edges, 8)
+        dwm, dwm_w = panel_nodes(dwm_edges, 8)
+        s2 = pump.spectral_density(pump.omega0(constants) + dwp, constants)
+        phi = coeff_p * dwp[:, None] + coeff_m * dwm[None, :] ** power + qpm_shift
+        inner = np.abs(ell_integral(phi, xi, params.C_quad)) ** 2 @ dwm_w
+        return float(np.sum(dwp_w * s2 * inner))
+
+    # a non-finite pass makes quad_est NaN or inf, which the check below
+    # rejects, so numpy's floating-point warnings would only add noise
+    with np.errstate(all="ignore"):
+        fine = window_integral(panel_edges(-w_pump, w_pump, 1.5 * sigma), dwm_fine)
+        coarse = window_integral(panel_edges(-w_pump, w_pump, 3.0 * sigma), dwm_coarse)
+
+    # |ell_integral|^2 ~ 8 / ((1 + xi^2) phi^2) beyond the window; its two
+    # tails in dwm, against a pump density that integrates to ~1
+    w_minus = float(dwm_fine[-1])
+    tail_abs = 16.0 / (
+        (2 * power - 1) * (1.0 + xi * xi) * coeff_m ** 2 * w_minus ** (2 * power - 1)
     )
     if fine <= 0.0:
-        quad_est = 0.0
-        truncation = 0.0
+        quad_est = truncation = 0.0
     else:
         quad_est = abs(fine - coarse) / fine
-        # |s|^2 integrates to ~1 over the pump window, so the fine value is
-        # directly comparable to the dwm-integral tail estimate
         truncation = tail_abs / fine
-    if quad_est > quad_tol:
+    if not (quad_est <= quad_tol):
         raise QuadratureError(
             f"brute-force quadrature refinement estimate {quad_est:.3e} "
             f"exceeds tolerance {quad_tol:.3e}",
             estimate=quad_est,
         )
 
-    n_pairs = 0.5 * _brute_force_prefactor(
-        material, beams, params.D_norm, constants
-    ) * fine
+    # d(w1) d(w2) = d(dwp) d(dwm) / 2
+    amplitude = _jsa_prefactor(pump, material, beams, constants) * abs(
+        overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
+    )
+    n_pairs = 0.5 * amplitude * amplitude * fine
     omega_p = 2.0 * math.pi * constants.c / beams.pump.lambda_vac
-    diag = dict(diag)
-    diag["quad_refinement_estimate"] = quad_est
-    diag["truncation_estimate"] = truncation
     return RateResult(
         pairs_per_pump_photon=n_pairs,
         pairs_per_s_per_mW=pairs_per_second(n_pairs, _MILLIWATT, omega_p, constants),
@@ -297,7 +287,14 @@ def _brute_force_common(
         a_plus_b_plus=params.a_plus_b_plus,
         method=METHOD_BRUTE_FORCE,
         quadrature_error_estimate=quad_est + truncation,
-        diagnostics=diag,
+        diagnostics={
+            "phi_halfwidth": phi_halfwidth,
+            "delta_omega_minus_halfwidth": w_minus,
+            "pump_halfwidth_sigmas": _PUMP_HALFWIDTH_SIGMAS,
+            **diag,
+            "quad_refinement_estimate": quad_est,
+            "truncation_estimate": truncation,
+        },
     )
 
 
@@ -308,57 +305,29 @@ def pairs_via_bruteforce(
     constants: PhysicalConstants = CONSTANTS,
     quad_tol: float = 1e-4,
     *,
-    target_truncation: float = 1e-3,
     phi_halfwidth: Optional[float] = None,
-    pump_halfwidth_sigmas: float = 6.0,
     qpm_shift: float = 0.0,
 ) -> RateResult:
     """Pair probability by 2-D quadrature of the frequency-space integral.
 
-    Integrates |s(w1 + w2)|^2 |O(w1, w2)|^2 over the pump band and the
-    phase-matching band in the sum/difference detuning coordinates, with the
-    linear phase-mismatch model and the axial integral evaluated pointwise
-    (no delta-function reduction). The difference-detuning window is sized
-    so the analytically estimated truncated tail stays below
-    ``target_truncation`` (the squared axial integral has a slowly decaying
-    1/phi^2 tail; a fixed small window would silently lose several percent).
-    Window overrides: ``phi_halfwidth`` (in phi units). The quadrature
-    refinement estimate must come in under ``quad_tol``.
+    Integrates |psi(w1, w2)|^2 of the joint spectral amplitude over the pump
+    band and the phase-matching band in the sum/difference detuning
+    coordinates, with the linear phase-mismatch model and the axial integral
+    evaluated pointwise (no delta-function reduction). The phi window
+    defaults to the half-width whose analytically estimated truncated tail
+    is 0.1% of the rate (the squared axial integral has a slowly decaying
+    1/phi^2 tail; a fixed small window would silently lose several
+    percent); ``phi_halfwidth`` overrides it. The quadrature refinement
+    estimate must come in under ``quad_tol``.
     """
     _require_nondegenerate(material)
-    if quad_tol <= 0.0:
-        raise DomainError(f"quad_tol must be positive, got {quad_tol}")
-
     coeff_p, coeff_m = phase_mismatch_coefficients(
         material.ng_p, material.ng_1, material.ng_2,
         beams.crystal_length, constants.c,
     )
-    params = overlap_params(beams)
-    xi = params.xi_agg
-    if phi_halfwidth is None:
-        phi_halfwidth = _auto_phi_halfwidth(xi, target_truncation)
-
-    w_minus = phi_halfwidth / abs(coeff_m)
-    dphi = math.pi  # panel width in phi units resolving the oscillation
-    dwm_edges = panel_edges(-w_minus, w_minus, dphi / abs(coeff_m))
-    dwm_coarse = panel_edges(-w_minus, w_minus, 2.0 * dphi / abs(coeff_m))
-
-    def phi_fn(dwp, dwm):
-        return coeff_p * dwp + coeff_m * dwm + qpm_shift
-
-    # discarded 1/phi^2 tail of the squared axial integral, in dwm units
-    x = abs(xi)
-    tail_abs = 16.0 / ((1.0 + x * x) * phi_halfwidth) / abs(coeff_m)
-
-    diag = {
-        "phi_halfwidth": phi_halfwidth,
-        "delta_omega_minus_halfwidth": w_minus,
-        "pump_halfwidth_sigmas": pump_halfwidth_sigmas,
-    }
-    return _brute_force_common(
-        material, beams, pump, params, constants, phi_fn,
-        dwm_edges, dwm_coarse, quad_tol, pump_halfwidth_sigmas,
-        tail_abs, diag,
+    return _bruteforce_rate(
+        material, beams, pump, constants, quad_tol,
+        coeff_p, coeff_m, 1, phi_halfwidth, qpm_shift, {},
     )
 
 
@@ -371,65 +340,27 @@ def pairs_degenerate_numeric(
     quad_tol: float = 1e-4,
     *,
     phi_halfwidth: Optional[float] = None,
-    pump_halfwidth_sigmas: float = 6.0,
     qpm_shift: float = 0.0,
 ) -> RateResult:
     """Pair probability for quadratic (degenerate type-0/I) phase matching.
 
-    Same nested quadrature as ``pairs_via_bruteforce`` with the difference
+    Same quadrature as ``pairs_via_bruteforce`` with the difference
     detuning entering the mismatch quadratically,
     phi = a dwp + (kappa0 / 4) dwm^2 Lz; no closed form is claimed for this
     case. ``gvd_kappa0`` is the group-velocity-dispersion coefficient at the
-    degenerate point (s^2/m).
+    degenerate point (s^2/m). The default phi window is the linear-model
+    one, which is conservative here because the tail decays faster in dwm.
     """
     if gvd_kappa0 == 0.0:
         raise DomainError("gvd_kappa0 must be nonzero for the degenerate path")
-    if quad_tol <= 0.0:
-        raise DomainError(f"quad_tol must be positive, got {quad_tol}")
-
     Lz = beams.crystal_length
     coeff_p, _ = phase_mismatch_coefficients(
         material.ng_p, material.ng_1, material.ng_2, Lz, constants.c
     )
-    quad_coeff = 0.25 * abs(gvd_kappa0) * Lz
-    sign = 1.0 if gvd_kappa0 > 0 else -1.0
-
-    params = overlap_params(beams)
-    xi = params.xi_agg
-    if phi_halfwidth is None:
-        # quadratic phi decays faster in dwm; the linear-model window is
-        # conservative here
-        phi_halfwidth = _auto_phi_halfwidth(xi, 1e-3)
-
-    # panel edges where |phi| crosses multiples of pi, denser near the center
-    m_count = max(2, int(math.ceil(phi_halfwidth / math.pi)))
-    phis = math.pi * np.arange(m_count + 1)
-    pos = np.sqrt(phis / quad_coeff)
-    dwm_edges = np.concatenate((-pos[::-1], pos[1:]))
-    idx = list(range(0, len(pos), 2))
-    if idx[-1] != len(pos) - 1:
-        idx.append(len(pos) - 1)
-    pos_c = pos[idx]
-    dwm_coarse = np.concatenate((-pos_c[::-1], pos_c[1:]))
-    w_minus = float(pos[-1])
-
-    # discarded tail of F ~ 8/((1+xi^2) phi^2) with phi quadratic in dwm
-    x = abs(xi)
-    tail_abs = 16.0 / (3.0 * (1.0 + x * x) * quad_coeff ** 2 * w_minus ** 3)
-
-    def phi_fn(dwp, dwm):
-        return coeff_p * dwp + sign * quad_coeff * dwm * dwm + qpm_shift
-
-    diag = {
-        "phi_halfwidth": phi_halfwidth,
-        "delta_omega_minus_halfwidth": w_minus,
-        "pump_halfwidth_sigmas": pump_halfwidth_sigmas,
-        "gvd_kappa0": gvd_kappa0,
-    }
-    return _brute_force_common(
-        material, beams, pump, params, constants, phi_fn,
-        dwm_edges, dwm_coarse, quad_tol, pump_halfwidth_sigmas,
-        tail_abs, diag,
+    return _bruteforce_rate(
+        material, beams, pump, constants, quad_tol,
+        coeff_p, 0.25 * gvd_kappa0 * Lz, 2, phi_halfwidth, qpm_shift,
+        {"gvd_kappa0": gvd_kappa0},
     )
 
 
@@ -446,7 +377,6 @@ class OverlapEvaluator:
     beams: BeamTriple
     constants: PhysicalConstants
     params: OverlapParams
-    qpm_shift: float = 0.0
 
     def __call__(self, omega1, omega2):
         c = self.constants.c
@@ -457,13 +387,11 @@ class OverlapEvaluator:
         phi = phase_mismatch_phi(
             d1 + d2, d1 - d2,
             self.material.ng_p, self.material.ng_1, self.material.ng_2,
-            self.beams.crystal_length, c, self.qpm_shift,
+            self.beams.crystal_length, c,
         )
         axial = ell_integral(phi, self.params.xi_agg, self.params.C_quad)
-        w_p, w_1, w_2 = self.beams.waists()
-        pref = (
-            -1j * self.material.chi2_eff * math.sqrt(2.0 / math.pi)
-            * w_p * w_1 * w_2 * self.params.D_norm
+        pref = overlap_prefactor(
+            self.material.chi2_eff, self.beams.waists(), self.params.D_norm
         )
         return pref * axial
 
@@ -472,7 +400,6 @@ def make_overlap_evaluator(
     material: MaterialOptics,
     beams: BeamTriple,
     constants: PhysicalConstants = CONSTANTS,
-    qpm_shift: float = 0.0,
 ) -> OverlapEvaluator:
     """Build the O(w1, w2) evaluator used by the joint spectral amplitude."""
     return OverlapEvaluator(
@@ -480,7 +407,23 @@ def make_overlap_evaluator(
         beams=beams,
         constants=constants,
         params=overlap_params(beams, delta_k=0.0),
-        qpm_shift=qpm_shift,
+    )
+
+
+def _jsa_prefactor(
+    pump: PumpSpec,
+    material: MaterialOptics,
+    beams: BeamTriple,
+    constants: PhysicalConstants,
+) -> float:
+    """Frequency-independent factor of psi in front of s(w1 + w2) O(w1, w2)."""
+    return math.sqrt(
+        2.0 * math.pi ** 2 * constants.hbar
+        / (constants.epsilon0 * pump.central_lambda
+           * beams.signal.lambda_vac * beams.idler.lambda_vac)
+    ) * math.sqrt(
+        material.ng_1 * material.ng_2 * material.ng_p
+        / (beams.pump.n ** 2 * beams.signal.n ** 2 * beams.idler.n ** 2)
     )
 
 
@@ -502,32 +445,9 @@ def jsa_value(
     N_p = 1: |psi|^2 integrated over both frequencies is the pair
     probability per pump photon. Accepts arrays.
     """
-    beams = overlap.beams
-    lam_p0 = pump.central_lambda
-    lam_10 = beams.signal.lambda_vac
-    lam_20 = beams.idler.lambda_vac
-    pref = math.sqrt(
-        2.0 * math.pi ** 2 * constants.hbar
-        / (constants.epsilon0 * lam_p0 * lam_10 * lam_20)
-    ) * math.sqrt(
-        material.ng_1 * material.ng_2 * material.ng_p
-        / (beams.pump.n ** 2 * beams.signal.n ** 2 * beams.idler.n ** 2)
-    )
+    pref = _jsa_prefactor(pump, material, overlap.beams, constants)
     s = pump.spectral_amplitude(np.asarray(omega1) + np.asarray(omega2), constants)
     return pref * s * overlap(omega1, omega2)
-
-
-def jsa_sample(
-    omega1: float,
-    omega2: float,
-    pump: PumpSpec,
-    material: MaterialOptics,
-    overlap: OverlapEvaluator,
-    constants: PhysicalConstants = CONSTANTS,
-) -> JsaSample:
-    """Evaluate the joint spectral amplitude at one frequency pair."""
-    psi = jsa_value(omega1, omega2, pump, material, overlap, constants)
-    return JsaSample(omega1=float(omega1), omega2=float(omega2), psi=complex(psi))
 
 
 def bennink_ratio(

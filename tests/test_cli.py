@@ -83,6 +83,19 @@ class TestRateCommand:
         assert code == 0
         assert "degenerate numeric" in out
 
+    def test_oracle_nan_estimate_is_numerical_error(self, capsys, tmp_path):
+        # the pump density underflows to 0/0 on every node: the refinement
+        # estimate is NaN and must fail the tolerance check
+        doc = load_json(PPKTP_CONFIG)
+        doc["pump"]["bandwidth_rad_s"] = 1e-300
+        cfg = write_json(tmp_path, "narrow.json", doc)
+        code, _, err = run_cli(capsys, "rate", "--config", cfg, "--oracle")
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error:")
+        assert "estimate nan" in lines[0]
+
     def test_missing_field_reports_name(self, capsys, tmp_path):
         doc = load_json(PPKTP_CONFIG)
         del doc["pump"]["power_W"]
@@ -239,6 +252,24 @@ class TestConfigLoading:
         code, _, err = run_cli(capsys, "rate", "--config", cfg)
         assert code == 1
         assert "transverse_dims" in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 400],
+                             ids=["NaN", "Infinity", "int_beyond_float"])
+    def test_non_finite_index_rejected(self, capsys, tmp_path, value):
+        doc = load_json(PPKTP_CONFIG)
+        doc["material"]["indices"]["n_1"] = value
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 1 and out == ""
+        assert err.startswith("error: material.indices.n_1:")
+
+    def test_non_numeric_poling_period_rejected(self, capsys, tmp_path):
+        doc = load_json(PPKTP_CONFIG)
+        doc["material"]["poling_period_m"] = "abc"
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 1 and out == ""
+        assert err.startswith("error: material.poling_period_m:")
 
     def test_unknown_pump_shape_rejected(self, capsys, tmp_path):
         doc = load_json(PPKTP_CONFIG)

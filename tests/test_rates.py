@@ -118,7 +118,7 @@ class TestBruteForce:
         beams = equal_focus_beams(ppktp_base_beams, 1.0)
         cf = pairs_closed_form(ppktp_material, beams)
         bf = pairs_via_bruteforce(
-            ppktp_material, beams, narrowband_pump, target_truncation=2e-3
+            ppktp_material, beams, narrowband_pump, phi_halfwidth=200.0
         )
         rel = abs(bf.pairs_per_pump_photon - cf.pairs_per_pump_photon) / cf.pairs_per_pump_photon
         assert rel < 0.01
@@ -215,6 +215,48 @@ class TestDegenerateNumeric:
             pairs_degenerate_numeric(material, beams, pump, 0.0)
 
 
+class TestPhiWindow:
+    KAPPA0 = 1e-25
+
+    @pytest.fixture(params=["linear", "degenerate"])
+    def oracle(self, request, ppktp_material, ppktp_base_beams, narrowband_pump):
+        """phi_halfwidth -> (result, phi at the outermost dwm panel edge)."""
+        if request.param == "linear":
+            material, pump = ppktp_material, narrowband_pump
+            beams = equal_focus_beams(ppktp_base_beams, 1.0)
+            coeff_m = abs(material.ng_1 - material.ng_2) / (2 * C) * beams.crystal_length
+
+            def run(phi_halfwidth):
+                res = pairs_via_bruteforce(material, beams, pump,
+                                           phi_halfwidth=phi_halfwidth)
+                return res, coeff_m * res.diagnostics["delta_omega_minus_halfwidth"]
+        else:
+            material, beams, pump = degenerate_setup(4e-3)
+            quad_coeff = 0.25 * self.KAPPA0 * beams.crystal_length
+
+            def run(phi_halfwidth):
+                res = pairs_degenerate_numeric(material, beams, pump, self.KAPPA0,
+                                               phi_halfwidth=phi_halfwidth)
+                w_minus = res.diagnostics["delta_omega_minus_halfwidth"]
+                return res, quad_coeff * w_minus ** 2
+        return run
+
+    def test_window_edge_maps_to_phi_halfwidth(self, oracle):
+        res, phi_edge = oracle(50.0)
+        assert res.diagnostics["phi_halfwidth"] == 50.0
+        assert phi_edge == pytest.approx(50.0, rel=1e-12)
+
+    def test_widening_recovers_the_estimated_tail(self, oracle):
+        # the rate gained by widening the window is the tail it stops dropping
+        narrow, _ = oracle(50.0)
+        wide, _ = oracle(200.0)
+        gain = wide.pairs_per_pump_photon / narrow.pairs_per_pump_photon - 1.0
+        drop = (narrow.diagnostics["truncation_estimate"]
+                - wide.diagnostics["truncation_estimate"])
+        assert drop > 0.0
+        assert gain / drop == pytest.approx(1.0, abs=0.02)
+
+
 class TestJsa:
     def unit_index_setup(self, unit_group=False):
         Lz = 5e-3
@@ -279,15 +321,6 @@ class TestJsa:
                 beams.crystal_length, quad_tol=1e-12,
             )
             assert abs(got - ref) <= 1e-10 * abs(ref)
-
-    def test_jsa_sample_record(self):
-        from spdc import jsa_sample
-        material, beams, pump = self.unit_index_setup()
-        ev = make_overlap_evaluator(material, beams)
-        w10 = 2 * math.pi * C / 1550e-9
-        sample = jsa_sample(w10 + 1e9, w10 - 2e9, pump, material, ev)
-        assert sample.omega1 == w10 + 1e9
-        assert sample.psi == jsa_value(w10 + 1e9, w10 - 2e9, pump, material, ev)
 
     def test_grid_integral_reproduces_bruteforce(
         self, ppktp_material, ppktp_base_beams, narrowband_pump
