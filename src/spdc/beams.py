@@ -39,6 +39,12 @@ class GaussianMode:
             raise DomainError(f"waist must be positive, got {self.w0}")
         if self.n < 1.0:
             raise DomainError(f"refractive index must be >= 1, got {self.n}")
+        z_R = self.z_R
+        if not (0.0 < z_R < math.inf):
+            raise DomainError(
+                f"Rayleigh range k w0^2 / 2 = {z_R!r} m is not a positive finite "
+                f"number (waist {self.w0!r} m)"
+            )
 
     @property
     def k(self) -> float:

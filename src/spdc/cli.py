@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config, load_table_fixture
+from .config import ExperimentConfig, _number, load_config, load_table_fixture
 from .errors import ConfigError, QuadratureError, SpdcError
 from .materials import CONSTANTS
 from .overlap import overlap_params
@@ -53,7 +53,10 @@ def cmd_rate(
     out = out or sys.stdout
     material = config.material_optics()
     beams = config.beam_triple()
-    quad_tol = tol if tol is not None else float(config.run.get("quad_tol", 1e-4))
+    quad_tol = (
+        tol if tol is not None
+        else _number(config.run.get("quad_tol", 1e-4), "run.quad_tol")
+    )
 
     if degenerate:
         if kappa0 is None:
@@ -135,7 +138,11 @@ def cmd_scan(
         raise ConfigError(f"scan range must satisfy lo < hi, got {lo}:{hi}")
     if log_spacing and lo <= 0.0:
         raise ConfigError("log-spaced scans need a positive lower bound")
-    grid = np.geomspace(lo, hi, points) if log_spacing else np.linspace(lo, hi, points)
+    # an infinite end, or hi - lo beyond the float range, gives non-finite points
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.geomspace(lo, hi, points) if log_spacing else np.linspace(lo, hi, points)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"scan range {lo}:{hi} must give finite grid points")
 
     print(CSV_HEADER, file=out)
     for x in grid:
@@ -187,7 +194,12 @@ def cmd_optimize(config: ExperimentConfig, xi_range: tuple = None, out=None) -> 
     out = out or sys.stdout
     if xi_range is None:
         blk = config.run.get("optimize", {})
-        xi_range = (float(blk.get("xi_min", 0.01)), float(blk.get("xi_max", 10.0)))
+        if not isinstance(blk, dict):
+            raise ConfigError("run.optimize: must be an object")
+        xi_range = (
+            _number(blk.get("xi_min", 0.01), "run.optimize.xi_min"),
+            _number(blk.get("xi_max", 10.0), "run.optimize.xi_max"),
+        )
     lo, hi = xi_range
     if not (0.0 < lo < hi):
         raise ConfigError(f"optimize range must satisfy 0 < lo < hi, got {lo}:{hi}")

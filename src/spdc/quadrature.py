@@ -88,37 +88,54 @@ def _ell_rule_size(phi_abs: float, xi_abs: float) -> int:
     return int(min(4000, max(64, 0.78 * phi_abs + 10.0 * xi_abs + 24)))
 
 
-def ell_integral(phi, xi: float, C: float = 0.0):
+# geometric-ish |phi| buckets share one rule each; a phase in no bucket
+# (NaN or infinite) gets NaN
+_ELL_BUCKET_EDGES = np.array(
+    (0.0, 20.0, 50.0, 100.0, 200.0, 400.0, 700.0, 1100.0, 1600.0, math.inf)
+)
+
+
+def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     """Vectorized integral over l in [-1, 1] of exp(-i phi l / 2) / (1 + i l xi - C xi^2 l^2).
 
     This is the reduced axial factor of the Gaussian overlap integral,
     evaluated with phi-bucketed fixed-order Gauss-Legendre rules so that
     large batches of phase-mismatch values are cheap. Accepts scalar or
-    array ``phi``; returns complex of the same shape.
+    array ``phi``; returns complex of the same shape. NaN or infinite
+    phases give NaN.
+
+    With ``offsets`` (a 1-D sequence a_j), returns I(offsets[j] + phi[k])
+    with shape ``(len(offsets),) + phi.shape``. The exponential factors,
+    exp(-i (a + b) l / 2) = exp(-i a l / 2) exp(-i b l / 2), so each rule
+    of n nodes costs (J + M) n exponentials and one (J x n) @ (n x M)
+    product instead of J M n exponentials. Every element a_j + b_k takes
+    the rule of its own |phi| bucket, sized by that bucket's largest
+    |phi|; a column whose elements fall in two buckets is computed with
+    both rules. The plain call is the ``offsets = [0]`` case.
     """
     phi_arr = np.asarray(phi, dtype=float)
-    scalar_input = phi_arr.ndim == 0
-    phis = np.atleast_1d(phi_arr)
-    flat = phis.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    amax = np.abs(flat)
-    # geometric-ish magnitude buckets share one rule each
-    edges = (0.0, 20.0, 50.0, 100.0, 200.0, 400.0, 700.0, 1100.0, 1600.0, math.inf)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = np.flatnonzero((amax >= lo) & (amax < hi))
-        if sel.size == 0:
-            continue
-        n = _ell_rule_size(float(amax[sel].max()), abs(xi))
+    a = np.zeros(1) if offsets is None else np.asarray(offsets, dtype=float).ravel()
+    b = phi_arr.ravel()
+    mag = np.abs(np.add.outer(a, b))
+    bucket = np.searchsorted(_ELL_BUCKET_EDGES, mag, side="right") - 1
+    out = np.full(mag.shape, complex(math.nan, math.nan))
+    counts = np.bincount(bucket.ravel(), minlength=len(_ELL_BUCKET_EDGES))
+    # the last count is of the NaN and infinite phases
+    for i in np.flatnonzero(counts[:-1]):
+        in_bucket = bucket == i
+        n = _ell_rule_size(float(mag[in_bucket].max()), abs(xi))
         x, w = gauss_legendre(n)
         g = w / (1.0 + 1j * x * xi - C * (xi * xi) * (x * x))
-        # chunk the (values x nodes) matrix to bound memory
-        block = max(1, int(2.0e6 / n))
-        for start in range(0, sel.size, block):
-            idx = sel[start:start + block]
-            out[idx] = np.exp(-0.5j * np.outer(flat[idx], x)) @ g
-    if scalar_input:
-        return complex(out[0])
-    return out.reshape(phis.shape)
+        rows = np.exp(-0.5j * np.outer(a, x)) * g
+        cols = np.flatnonzero(in_bucket.any(axis=0))
+        # chunk the (nodes x columns) factor and the result block to bound memory
+        block = max(1, int(2.0e6 / (n + a.size)))
+        for start in range(0, cols.size, block):
+            idx = cols[start:start + block]
+            value = rows @ np.exp(-0.5j * np.outer(x, b[idx]))
+            out[:, idx] = np.where(in_bucket[:, idx], value, out[:, idx])
+    out = out.reshape(phi_arr.shape if offsets is None else a.shape + phi_arr.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def panel_edges(lo: float, hi: float, max_width: float) -> np.ndarray:

@@ -229,7 +229,9 @@ def _bruteforce_rate(
     Gauss-Legendre panels cover +-6 pump sigmas and the phi window; a pass
     on a layout with half as many panels per axis gives the refinement
     estimate, and the analytic 1/phi^2 tail beyond the window the
-    truncation estimate.
+    truncation estimate. Each pass gets its whole table of axial integrals
+    from one ``ell_integral`` call with the pump rows as ``offsets``, so
+    the exponentials number (pump rows + dwm columns) per rule node.
     """
     if not (quad_tol > 0.0):
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")
@@ -246,8 +248,11 @@ def _bruteforce_rate(
         dwp, dwp_w = panel_nodes(dwp_edges, 8)
         dwm, dwm_w = panel_nodes(dwm_edges, 8)
         s2 = pump.spectral_density(pump.omega0(constants) + dwp, constants)
-        phi = coeff_p * dwp[:, None] + coeff_m * dwm[None, :] ** power + qpm_shift
-        inner = np.abs(ell_integral(phi, xi, params.C_quad)) ** 2 @ dwm_w
+        axial = ell_integral(
+            coeff_m * dwm ** power, xi, params.C_quad,
+            offsets=coeff_p * dwp + qpm_shift,
+        )
+        inner = np.abs(axial) ** 2 @ dwm_w
         return float(np.sum(dwp_w * s2 * inner))
 
     # a non-finite pass makes quad_est NaN or inf, which the check below

@@ -156,3 +156,9 @@ class TestInvariants:
             GaussianMode(-810e-9, 1.8, 1e-6)
         with pytest.raises(DomainError):
             GaussianMode(810e-9, 0.5, 1e-6)
+
+    @pytest.mark.parametrize("w0", [1e-300, 1e200])
+    def test_rayleigh_range_must_be_finite_positive(self, w0):
+        # k w0^2 underflows to 0 or overflows to inf
+        with pytest.raises(DomainError, match="Rayleigh range"):
+            GaussianMode(810e-9, 1.8, w0)

@@ -96,6 +96,25 @@ class TestRateCommand:
         assert len(lines) == 1 and lines[0].startswith("numerical error:")
         assert "estimate nan" in lines[0]
 
+    def test_non_numeric_quad_tol_rejected(self, capsys, tmp_path):
+        doc = load_json(PPKTP_CONFIG)
+        doc["run"]["quad_tol"] = "abc"
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg, "--oracle")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: run.quad_tol:")
+
+    def test_underflowing_waist_is_domain_error(self, capsys, tmp_path):
+        # k w0^2 underflows to 0: no Rayleigh range, no focal parameter
+        doc = load_json(PPKTP_CONFIG)
+        doc["beams"]["waist_p_m"] = 1e-300
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Rayleigh range")
+
     def test_missing_field_reports_name(self, capsys, tmp_path):
         doc = load_json(PPKTP_CONFIG)
         del doc["pump"]["power_W"]
@@ -194,6 +213,21 @@ class TestScanCommand:
             "--variable", "xi", "--range", "5:1", "--points", "10",
         )
         assert code == 1 and "range" in err
+
+    # -1e308:1e308 has finite ends, but hi - lo overflows
+    @pytest.mark.parametrize("span, log", [
+        ("-inf:1", False), ("1:inf", False), ("1:inf", True),
+        ("-1e308:1e308", False),
+    ], ids=["neg_inf", "pos_inf", "pos_inf_log", "overflow"])
+    def test_non_finite_grid_rejected(self, capsys, span, log):
+        code, out, err = run_cli(
+            capsys, "scan", "--config", PPKTP_CONFIG, "--variable", "delta_k",
+            f"--range={span}", "--points", "3", *(["--log"] if log else []),
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: scan range")
+        assert "finite grid points" in lines[0]
 
     def test_one_point_rejected(self, capsys):
         code, _, err = run_cli(
@@ -344,6 +378,20 @@ class TestOptimizeCommand:
             xi_line = [ln for ln in out.splitlines() if ln.startswith("xi_opt")][0]
             vals.append(float(xi_line.split(":")[1]))
         assert abs(vals[0] - vals[1]) <= 1e-3 * vals[0]
+
+    @pytest.mark.parametrize("block, where", [
+        ({"xi_min": "x"}, "run.optimize.xi_min"),
+        ({"xi_max": "x"}, "run.optimize.xi_max"),
+        ("x", "run.optimize"),
+    ], ids=["xi_min", "xi_max", "not_an_object"])
+    def test_malformed_bracket_rejected(self, capsys, tmp_path, block, where):
+        doc = load_json(PPKTP_CONFIG)
+        doc["run"]["optimize"] = block
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "optimize", "--config", cfg)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {where}:")
 
     def test_inverted_range_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -1,0 +1,101 @@
+"""Axial integral: the factored offsets path and non-finite phases."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from spdc import quadrature
+from spdc.quadrature import ell_integral
+
+# |phi| where ell_integral switches Gauss-Legendre rule
+BUCKET_EDGES = (20.0, 50.0, 100.0, 200.0, 400.0, 700.0, 1100.0, 1600.0)
+# small offsets around each edge, so the columns b = +-edge straddle it
+OFFSETS = np.array([-0.3, -0.01, 0.0, 0.02, 0.3])
+
+
+def reference(phi, xi, C):
+    def part(f):
+        return quad(f, -1.0, 1.0, limit=400, epsabs=1e-13, epsrel=1e-13)[0]
+
+    def f(l):
+        return np.exp(-0.5j * phi * l) / (1.0 + 1j * l * xi - C * xi * xi * l * l)
+
+    return part(lambda l: f(l).real) + 1j * part(lambda l: f(l).imag)
+
+
+def phase_grid(kind):
+    edges = np.array(BUCKET_EDGES)
+    if kind == "linear":
+        b = np.linspace(-1700.0, 1700.0, 241)
+    else:
+        dwm = np.linspace(-41.0, 41.0, 121)
+        b = -dwm * dwm  # a negative quadratic coefficient, as at negative kappa0
+    return np.concatenate((b, edges, -edges))
+
+
+class TestOffsets:
+    @pytest.mark.parametrize("kind", ["linear", "squared"])
+    @pytest.mark.parametrize("xi", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("C", [0.0, 1e-3])
+    def test_equals_the_summed_phase_grid(self, kind, xi, C):
+        b = phase_grid(kind)
+        for shift in (0.0, 3.5):
+            a = OFFSETS + shift
+            got = ell_integral(b, xi, C, offsets=a)
+            want = ell_integral(a[:, None] + b[None, :], xi, C)
+            assert got.shape == (a.size, b.size)
+            scale = abs(ell_integral(0.0, xi, C))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_each_element_keeps_its_own_rule(self, monkeypatch):
+        # weights scaled by the rule order make every value show its rule, so
+        # an element of a straddling column given its neighbour's rule stands out
+        rule = quadrature.gauss_legendre
+        monkeypatch.setattr(
+            quadrature, "gauss_legendre", lambda n: (rule(n)[0], n * rule(n)[1])
+        )
+        b = phase_grid("linear")
+        got = ell_integral(b, 1.0, offsets=OFFSETS)
+        want = ell_integral(OFFSETS[:, None] + b[None, :], 1.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_shapes(self):
+        assert isinstance(ell_integral(3.0, 1.0), complex)
+        assert ell_integral(3.0, 1.0, offsets=[0.0, 1.0]).shape == (2,)
+        assert ell_integral(np.zeros((2, 3)), 1.0).shape == (2, 3)
+        assert ell_integral(np.zeros((2, 3)), 1.0, offsets=[1.0]).shape == (1, 2, 3)
+        assert ell_integral(np.zeros(0), 1.0, offsets=[1.0, 2.0]).shape == (2, 0)
+
+    def test_plain_call_is_the_zero_offset_row(self):
+        b = phase_grid("linear")
+        assert np.array_equal(
+            ell_integral(b, 1.0), ell_integral(b, 1.0, offsets=[0.0])[0]
+        )
+
+    def test_matches_adaptive_reference(self):
+        for phi in (0.0, 7.0, -55.0, 430.0, 1650.0):
+            assert ell_integral(phi, 1.0, 1e-3) == pytest.approx(
+                reference(phi, 1.0, 1e-3), rel=1e-8, abs=1e-12
+            )
+
+
+class TestNonFinitePhase:
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_scalar_is_nan(self, phi):
+        value = ell_integral(phi, 1.0)
+        assert math.isnan(value.real) and math.isnan(value.imag)
+
+    def test_array_keeps_finite_entries(self):
+        phi = np.array([0.0, math.nan, 30.0, math.inf, -math.inf, 500.0])
+        got = ell_integral(phi, 1.0)
+        bad = ~np.isfinite(phi)
+        assert np.all(np.isnan(got[bad].real) & np.isnan(got[bad].imag))
+        for k in np.flatnonzero(~bad):
+            assert got[k] == pytest.approx(ell_integral(phi[k], 1.0), rel=1e-14)
+
+    def test_non_finite_offset_row_is_nan(self):
+        got = ell_integral(np.array([0.0, 40.0]), 1.0, offsets=[math.nan, 1.0])
+        assert np.all(np.isnan(got[0]))
+        assert np.all(np.isfinite(got[1]))

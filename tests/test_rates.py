@@ -23,8 +23,10 @@ from spdc import (
     pairs_via_bruteforce,
     tutorial_correction_factor,
 )
+from spdc.config import load_config
 from spdc.errors import DegenerateDispersionError, DomainError
 from spdc.materials import CONSTANTS
+from conftest import CONFIG_DIR
 
 HBAR, C = CONSTANTS.hbar, CONSTANTS.c
 
@@ -213,6 +215,34 @@ class TestDegenerateNumeric:
         material, beams, pump = degenerate_setup(4e-3)
         with pytest.raises(DomainError):
             pairs_degenerate_numeric(material, beams, pump, 0.0)
+
+
+class TestOraclePinned:
+    """Oracle values on the shipped PPKTP config, pinned to 1e-12 relative."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        cfg = load_config(CONFIG_DIR / "ppktp_type2.json")
+        return cfg.material_optics(), cfg.beam_triple(), cfg.pump_spec()
+
+    @pytest.mark.parametrize("xi, expected", [
+        (0.1, 10389.614603608223),
+        (1.0, 81871.01566318444),
+        (5.0, 143166.5674278114),
+    ])
+    def test_linear(self, setup, xi, expected):
+        material, beams, pump = setup
+        res = pairs_via_bruteforce(material, equal_focus_beams(beams, xi), pump)
+        assert res.pairs_per_s_per_mW == pytest.approx(expected, rel=1e-12)
+
+    def test_degenerate(self, setup):
+        import dataclasses
+        material, beams, pump = setup
+        res = pairs_degenerate_numeric(
+            dataclasses.replace(material, ng_2=material.ng_1),
+            equal_focus_beams(beams, 1.0), pump, 1e-25,
+        )
+        assert res.pairs_per_s_per_mW == pytest.approx(2319230.636975462, rel=1e-12)
 
 
 class TestPhiWindow:
