@@ -46,7 +46,7 @@ from .rates import (
     equal_focus_beams,
     focus_optimize,
     jsa_value,
-    make_overlap_evaluator,
+    overlap_value,
     pairs_closed_form,
     pairs_degenerate_numeric,
     pairs_per_second,

@@ -34,6 +34,7 @@ from .rates import (
 
 _FMT = "{:.11e}"  # 12 significant digits
 SCAN_VARIABLES = ("xi", "waist", "Lz", "delta_k")
+_RANGE_FLAGS = ("--range", "--xi-range")
 CSV_HEADER = "x,pairs_per_s_per_mW,xi_agg,a_plus_b_plus,status"
 
 
@@ -226,6 +227,17 @@ def _parse_range(text: str, flag: str) -> tuple:
     return lo, hi
 
 
+def _attach_ranges(argv: list) -> list:
+    """Rewrite ``--range -2:2`` (argparse takes -2:2 for an option) as ``--range=-2:2``."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _RANGE_FLAGS and arg.startswith("-") and ":" in arg:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdc",
@@ -266,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_ranges(argv))
     try:
         if args.command == "rate":
             config = load_config(args.config)

@@ -79,7 +79,6 @@ class ExperimentConfig:
     d_eff: float
     crystal_length: float
     indices: tuple
-    pump_power: float
     pump_bandwidth: float
     poling_period: Optional[float] = None
     run: dict = field(default_factory=dict)
@@ -102,11 +101,7 @@ class ExperimentConfig:
         )
 
     def pump_spec(self) -> PumpSpec:
-        return PumpSpec(
-            power=self.pump_power,
-            central_lambda=self.lambda_p,
-            bandwidth=self.pump_bandwidth,
-        )
+        return PumpSpec(bandwidth=self.pump_bandwidth)
 
 
 def _resolve_dispersion(ref, base_dir: Path, where: str) -> DispersionModel:
@@ -210,7 +205,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     indices = _indices_from_block(material, (lam_p, lam_1, lam_2), base_dir)
 
-    power = _positive(_get(pump, "power_W", "pump"), "pump.power_W")
+    # validated, not stored: rates are per mW of pump power
+    _positive(_get(pump, "power_W", "pump"), "pump.power_W")
     bandwidth = _positive(
         _get(pump, "bandwidth_rad_s", "pump"), "pump.bandwidth_rad_s"
     )
@@ -223,24 +219,31 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         waist_p=waist_p, waist_1=waist_1, waist_2=waist_2,
         d_eff=d_eff, crystal_length=Lz,
         indices=indices,
-        pump_power=power, pump_bandwidth=bandwidth,
+        pump_bandwidth=bandwidth,
         poling_period=poling,
         run=dict(run),
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load and validate an experiment config file."""
-    path = Path(path)
+def _read_json_object(path: Path, what: str) -> dict:
+    """Parse a JSON file whose top level must be an object."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise ConfigError(f"config file {path} not found") from None
-    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} not found") from None
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"{what} {path} cannot be read ({exc.strerror})") from None
+    except ValueError as exc:  # malformed JSON or not UTF-8
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return parse_config(raw, path.parent)
+    return raw
+
+
+def load_config(path) -> ExperimentConfig:
+    """Load and validate an experiment config file."""
+    path = Path(path)
+    return parse_config(_read_json_object(path, "config file"), path.parent)
 
 
 def load_table_fixture(path) -> list:
@@ -250,40 +253,42 @@ def load_table_fixture(path) -> list:
     required), optional R_exp (experimental; metadata only, never used in
     pass/fail) and a per-row relative tolerance. Values with uncertainties
     are [central, uncertainty] pairs; only centrals are computed with.
+    Numbers must be finite, the revised rate and the tolerance positive.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"table fixture {path} not found") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    rows = raw.get("rows")
+    rows = _read_json_object(path, "table fixture").get("rows")
     if not isinstance(rows, list) or not rows:
         raise ConfigError(f"{path}: expected a non-empty 'rows' array")
 
-    def central(row, key, name):
+    def central(row, name, key, positive=False):
         if key not in row:
             raise ConfigError(f"{path}: row {name!r} missing field {key}")
-        v = row[key]
-        if isinstance(v, (list, tuple)):
-            return float(v[0])
-        return float(v)
+        v, where = row[key], f"{path}: row {name!r}: {key}"
+        if isinstance(v, list) and len(v) == 2:  # [central, uncertainty]
+            _number(v[1], where)
+            v = v[0]
+        value = _number(v, where)
+        return _positive(value, where) if positive else value
 
     out = []
     for row in rows:
+        if not isinstance(row, dict):
+            raise ConfigError(f"{path}: every row must be an object, got {row!r}")
         name = row.get("name")
-        if not name:
+        if not isinstance(name, str) or not name:
             raise ConfigError(f"{path}: every row needs a 'name'")
         out.append({
             "name": name,
-            "correction_factor": central(row, "correction_factor", name),
-            "rate_published": central(row, "R_th_published_per_s_per_mW", name),
-            "rate_revised": central(row, "R_th_revised_per_s_per_mW", name),
+            "correction_factor": central(row, name, "correction_factor"),
+            "rate_published": central(row, name, "R_th_published_per_s_per_mW"),
+            "rate_revised": central(row, name, "R_th_revised_per_s_per_mW", positive=True),
             "rate_experimental": (
-                central(row, "R_exp_per_s_per_mW", name)
+                central(row, name, "R_exp_per_s_per_mW")
                 if "R_exp_per_s_per_mW" in row else None
             ),
-            "tolerance_rel": float(row.get("tolerance_rel", 0.002)),
+            "tolerance_rel": (
+                central(row, name, "tolerance_rel", positive=True)
+                if "tolerance_rel" in row else 0.002
+            ),
         })
     return out

@@ -82,12 +82,13 @@ def quadratic_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
     wavevector matching.
     """
     num = _xi_numerator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    if num == 0.0:
+    den = num * num
+    if den == 0.0:
         raise DegenerateConfigurationError(
-            "aggregate-xi numerator vanishes; quadratic coefficient undefined"
+            "squared aggregate-xi numerator vanishes; quadratic coefficient undefined"
         )
     sigma = _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    return (k_p - k_1 - k_2) * xi_1 * xi_2 * xi_p * sigma / (num * num)
+    return (k_p - k_1 - k_2) * xi_1 * xi_2 * xi_p * sigma / den
 
 
 def normalization_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz) -> float:
@@ -97,12 +98,12 @@ def normalization_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz) -> float:
     """
     if Lz <= 0.0:
         raise DegenerateConfigurationError(f"Lz must be positive, got {Lz}")
-    sigma = _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    if sigma == 0.0:
+    den = Lz * _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
+    if den == 0.0:
         raise DegenerateConfigurationError(
-            "k1*xi1 + k2*xi2 + kp*xip vanishes; normalization degenerate"
+            "Lz (k1*xi1 + k2*xi2 + kp*xip) vanishes; normalization degenerate"
         )
-    return k_p * k_1 * k_2 * xi_p * xi_1 * xi_2 / (Lz * sigma)
+    return k_p * k_1 * k_2 * xi_p * xi_1 * xi_2 / den
 
 
 def a_plus_b_plus(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
@@ -111,13 +112,15 @@ def a_plus_b_plus(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
     Satisfies xi / (A+B+) = kp^2 x1 x2 xp / (k1 x1 + k2 x2 + kp xp)^2 and
     equals 4 for equal focal parameters under collinear matching.
     """
-    if k_p == 0.0 or xi_p == 0.0 or xi_1 == 0.0 or xi_2 == 0.0:
+    den = k_p * k_p * xi_1 * xi_2 * xi_p
+    if den == 0.0:
         raise DegenerateConfigurationError(
-            "A+B+ undefined for vanishing pump wavevector or focal parameter"
+            "A+B+ undefined: kp^2 xi1 xi2 xip vanishes (a zero or underflowing "
+            "pump wavevector or focal parameter)"
         )
     sigma = _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
     num = _xi_numerator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    return sigma * num / (k_p * k_p * xi_1 * xi_2 * xi_p)
+    return sigma * num / den
 
 
 def phase_mismatch_coefficients(ng_p, ng_1, ng_2, Lz, c) -> tuple:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 
 @lru_cache(maxsize=None)
@@ -83,9 +83,14 @@ def _ell_rule_size(phi_abs: float, xi_abs: float) -> int:
     """Gauss-Legendre order resolving exp(-i phi l / 2) / (1 + i l xi ...) on [-1, 1].
 
     Checked against adaptive references to <1e-8 relative for |phi| <= 2000,
-    |xi| <= 12.
+    |xi| <= 12. Past 4000 nodes (|phi| ~5,100 at small xi) it raises, since
+    a capped rule would alias.
     """
-    return int(min(4000, max(64, 0.78 * phi_abs + 10.0 * xi_abs + 24)))
+    n = 0.78 * phi_abs + 10.0 * xi_abs + 24
+    if n > 4000:
+        raise DomainError(f"axial integral at |phi| = {phi_abs:.4g}, xi = "
+                          f"{xi_abs:.4g} needs more than 4000 Gauss-Legendre nodes")
+    return int(max(64, n))
 
 
 # geometric-ish |phi| buckets share one rule each; a phase in no bucket
@@ -102,7 +107,7 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     evaluated with phi-bucketed fixed-order Gauss-Legendre rules so that
     large batches of phase-mismatch values are cheap. Accepts scalar or
     array ``phi``; returns complex of the same shape. NaN or infinite
-    phases give NaN.
+    phases give NaN; a phase or xi needing over 4000 nodes raises DomainError.
 
     With ``offsets`` (a 1-D sequence a_j), returns I(offsets[j] + phi[k])
     with shape ``(len(offsets),) + phi.shape``. The exponential factors,

@@ -32,7 +32,6 @@ from .beams import BeamTriple, GaussianMode
 from .errors import DegenerateDispersionError, DomainError, QuadratureError
 from .materials import CONSTANTS, MaterialOptics, PhysicalConstants
 from .overlap import (
-    OverlapParams,
     overlap_params,
     overlap_prefactor,
     phase_mismatch_coefficients,
@@ -52,45 +51,28 @@ METHOD_BRUTE_FORCE = "brute_force"
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Pump field: power, central wavelength and Gaussian spectral shape.
+    """Gaussian pump spectrum s(dw) of the detuning dw from the pump centre.
 
-    ``bandwidth`` is the RMS width (rad/s) of the spectral density |s|^2,
-    which integrates to one. CW operation is the narrowband limit: pick a
-    bandwidth much smaller than the phase-matching bandwidth.
+    The centre is 2 pi c / ``beams.pump.lambda_vac``, the one home of the
+    pump wavelength. ``bandwidth`` is the RMS width (rad/s) of the spectral
+    density |s|^2, which integrates to one; CW operation is the narrowband
+    limit. There is no power: rates are per pump photon and per mW.
     """
 
-    power: float
-    central_lambda: float
     bandwidth: float
 
     def __post_init__(self):
-        if self.power <= 0.0:
-            raise DomainError(f"pump power must be positive, got {self.power}")
-        if self.central_lambda <= 0.0:
-            raise DomainError(
-                f"pump wavelength must be positive, got {self.central_lambda}"
-            )
-        if self.bandwidth <= 0.0:
-            raise DomainError(
-                f"pump bandwidth must be positive, got {self.bandwidth}"
-            )
+        if not (self.bandwidth > 0.0):
+            raise DomainError(f"pump bandwidth must be positive, got {self.bandwidth}")
 
-    def omega0(self, constants: PhysicalConstants = CONSTANTS) -> float:
-        """Central angular frequency (rad/s)."""
-        return 2.0 * math.pi * constants.c / self.central_lambda
+    def spectral_amplitude(self, detuning):
+        """Normalized amplitude s(dw), units 1/sqrt(rad/s)."""
+        return np.sqrt(self.spectral_density(detuning))
 
-    def spectral_amplitude(self, omega, constants: PhysicalConstants = CONSTANTS):
-        """Normalized amplitude s(omega), units 1/sqrt(rad/s)."""
+    def spectral_density(self, detuning):
+        """|s(dw)|^2, units 1/(rad/s)."""
         sigma = self.bandwidth
-        d = np.asarray(omega) - self.omega0(constants)
-        return (2.0 * math.pi * sigma * sigma) ** -0.25 * np.exp(
-            -(d * d) / (4.0 * sigma * sigma)
-        )
-
-    def spectral_density(self, omega, constants: PhysicalConstants = CONSTANTS):
-        """|s(omega)|^2, units 1/(rad/s)."""
-        sigma = self.bandwidth
-        d = np.asarray(omega) - self.omega0(constants)
+        d = np.asarray(detuning)
         return np.exp(-(d * d) / (2.0 * sigma * sigma)) / (
             sigma * math.sqrt(2.0 * math.pi)
         )
@@ -113,6 +95,11 @@ class RateResult:
     method: str
     quadrature_error_estimate: Optional[float] = None
     diagnostics: Mapping = field(default_factory=dict)
+
+
+def _angular_frequency(lambda_vac: float, constants: PhysicalConstants) -> float:
+    """Angular frequency 2 pi c / lambda_vac (rad/s) of a vacuum wavelength."""
+    return 2.0 * math.pi * constants.c / lambda_vac
 
 
 def pairs_per_second(
@@ -145,10 +132,10 @@ def pairs_closed_form(
 
     params = overlap_params(beams)
     xi, ab = params.xi_agg, params.a_plus_b_plus
-    if xi <= 0.0 or ab <= 0.0:
+    if not (0.0 < xi < math.inf and 0.0 < ab < math.inf):
         raise DomainError(
-            f"aggregate parameters xi={xi:.4g}, A+B+={ab:.4g} must be "
-            "positive; configuration outside the validity of the rate formula"
+            f"aggregate parameters xi={xi:.4g}, A+B+={ab:.4g} must be positive "
+            "and finite; configuration outside the validity of the rate formula"
         )
 
     n_p, n_1, n_2 = beams.pump.n, beams.signal.n, beams.idler.n
@@ -166,10 +153,13 @@ def pairs_closed_form(
         * (chi * chi) / (lam_1 * lam_1 * lam_2 * lam_2)
         * math.atan(xi) / ab
     )
-    omega_p = 2.0 * math.pi * constants.c / beams.pump.lambda_vac
+    omega_p = _angular_frequency(beams.pump.lambda_vac, constants)
+    rate = pairs_per_second(n_pairs, _MILLIWATT, omega_p, constants)
+    if not math.isfinite(rate):  # also catches a non-finite n_pairs
+        raise DomainError(f"closed-form rate {rate:.4g} per s per mW is not finite")
     return RateResult(
         pairs_per_pump_photon=n_pairs,
-        pairs_per_s_per_mW=pairs_per_second(n_pairs, _MILLIWATT, omega_p, constants),
+        pairs_per_s_per_mW=rate,
         xi_agg=xi,
         a_plus_b_plus=ab,
         method=METHOD_CLOSED_FORM,
@@ -247,7 +237,7 @@ def _bruteforce_rate(
     def window_integral(dwp_edges, dwm_edges):
         dwp, dwp_w = panel_nodes(dwp_edges, 8)
         dwm, dwm_w = panel_nodes(dwm_edges, 8)
-        s2 = pump.spectral_density(pump.omega0(constants) + dwp, constants)
+        s2 = pump.spectral_density(dwp)
         axial = ell_integral(
             coeff_m * dwm ** power, xi, params.C_quad,
             offsets=coeff_p * dwp + qpm_shift,
@@ -280,11 +270,11 @@ def _bruteforce_rate(
         )
 
     # d(w1) d(w2) = d(dwp) d(dwm) / 2
-    amplitude = _jsa_prefactor(pump, material, beams, constants) * abs(
+    amplitude = _jsa_prefactor(material, beams, constants) * abs(
         overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
     )
     n_pairs = 0.5 * amplitude * amplitude * fine
-    omega_p = 2.0 * math.pi * constants.c / beams.pump.lambda_vac
+    omega_p = _angular_frequency(beams.pump.lambda_vac, constants)
     return RateResult(
         pairs_per_pump_photon=n_pairs,
         pairs_per_s_per_mW=pairs_per_second(n_pairs, _MILLIWATT, omega_p, constants),
@@ -369,62 +359,39 @@ def pairs_degenerate_numeric(
     )
 
 
-@dataclass(frozen=True)
-class OverlapEvaluator:
-    """Frequency-dependent overlap with band-center-frozen prefactors.
-
-    The geometric coefficients (waists, focal parameters, normalization) are
-    evaluated once at the central wavelengths; only the phase mismatch
-    varies with (w1, w2), through the linear model. Calls accept arrays.
-    """
-
-    material: MaterialOptics
-    beams: BeamTriple
-    constants: PhysicalConstants
-    params: OverlapParams
-
-    def __call__(self, omega1, omega2):
-        c = self.constants.c
-        w10 = 2.0 * math.pi * c / self.beams.signal.lambda_vac
-        w20 = 2.0 * math.pi * c / self.beams.idler.lambda_vac
-        d1 = np.asarray(omega1) - w10
-        d2 = np.asarray(omega2) - w20
-        phi = phase_mismatch_phi(
-            d1 + d2, d1 - d2,
-            self.material.ng_p, self.material.ng_1, self.material.ng_2,
-            self.beams.crystal_length, c,
-        )
-        axial = ell_integral(phi, self.params.xi_agg, self.params.C_quad)
-        pref = overlap_prefactor(
-            self.material.chi2_eff, self.beams.waists(), self.params.D_norm
-        )
-        return pref * axial
-
-
-def make_overlap_evaluator(
+def overlap_value(
+    omega1,
+    omega2,
     material: MaterialOptics,
     beams: BeamTriple,
     constants: PhysicalConstants = CONSTANTS,
-) -> OverlapEvaluator:
-    """Build the O(w1, w2) evaluator used by the joint spectral amplitude."""
-    return OverlapEvaluator(
-        material=material,
-        beams=beams,
-        constants=constants,
-        params=overlap_params(beams, delta_k=0.0),
+):
+    """Overlap O(w1, w2) of the joint spectral amplitude.
+
+    Waists, focal parameters and normalization are frozen at the central
+    wavelengths of ``beams``; only the phase mismatch varies with (w1, w2),
+    through the linear model. Accepts arrays.
+    """
+    params = overlap_params(beams)
+    d1 = np.asarray(omega1) - _angular_frequency(beams.signal.lambda_vac, constants)
+    d2 = np.asarray(omega2) - _angular_frequency(beams.idler.lambda_vac, constants)
+    phi = phase_mismatch_phi(
+        d1 + d2, d1 - d2, material.ng_p, material.ng_1, material.ng_2,
+        beams.crystal_length, constants.c,
     )
+    pref = overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
+    return pref * ell_integral(phi, params.xi_agg, params.C_quad)
 
 
 def _jsa_prefactor(
-    pump: PumpSpec,
     material: MaterialOptics,
     beams: BeamTriple,
     constants: PhysicalConstants,
 ) -> float:
-    """Frequency-independent factor of psi in front of s(w1 + w2) O(w1, w2)."""
+    """Frequency-independent factor of psi in front of s(w1 + w2 - wp0) O(w1, w2)."""
     return math.sqrt(
         2.0 * math.pi ** 2 * constants.hbar
-        / (constants.epsilon0 * pump.central_lambda
+        / (constants.epsilon0 * beams.pump.lambda_vac
            * beams.signal.lambda_vac * beams.idler.lambda_vac)
     ) * math.sqrt(
         material.ng_1 * material.ng_2 * material.ng_p
@@ -437,22 +404,25 @@ def jsa_value(
     omega2,
     pump: PumpSpec,
     material: MaterialOptics,
-    overlap: OverlapEvaluator,
+    beams: BeamTriple,
     constants: PhysicalConstants = CONSTANTS,
 ):
     """Joint spectral amplitude psi(w1, w2).
 
     psi = sqrt(2 pi^2 hbar N_p / (eps0 lp0 l10 l20))
           * sqrt(ng1 ng2 ngp / (np^2 n1^2 n2^2))
-          * s(w1 + w2) * O(w1, w2),
+          * s(w1 + w2 - wp0) * O(w1, w2)
 
-    with central vacuum wavelengths and phase indices in the prefactor and
-    N_p = 1: |psi|^2 integrated over both frequencies is the pair
-    probability per pump photon. Accepts arrays.
+    with the central wavelengths and phase indices of ``beams``,
+    wp0 = 2 pi c / lp0, the spectrum s of ``pump`` and O from
+    ``overlap_value``. N_p = 1: |psi|^2 integrated over both frequencies is
+    the pair probability per pump photon. Accepts arrays.
     """
-    pref = _jsa_prefactor(pump, material, overlap.beams, constants)
-    s = pump.spectral_amplitude(np.asarray(omega1) + np.asarray(omega2), constants)
-    return pref * s * overlap(omega1, omega2)
+    wp0 = _angular_frequency(beams.pump.lambda_vac, constants)
+    s = pump.spectral_amplitude(np.asarray(omega1) + np.asarray(omega2) - wp0)
+    return _jsa_prefactor(material, beams, constants) * s * overlap_value(
+        omega1, omega2, material, beams, constants
+    )
 
 
 def bennink_ratio(
@@ -509,7 +479,7 @@ def collimated_limit_rates(
     n_p, n_1, n_2 = beams.pump.n, beams.signal.n, beams.idler.n
     sigma_p = 0.5 * beams.pump.w0
     dng = abs(material.ng_1 - material.ng_2)
-    omega_p = 2.0 * math.pi * constants.c / beams.pump.lambda_vac
+    omega_p = _angular_frequency(beams.pump.lambda_vac, constants)
     common = (
         1.0 / (16.0 * math.pi * constants.epsilon0 * constants.c ** 2)
         * material.d_eff ** 2 * omega_p ** 2 / dng

@@ -45,4 +45,4 @@ def ppktp_base_beams():
 
 @pytest.fixture(scope="session")
 def narrowband_pump():
-    return PumpSpec(power=1e-3, central_lambda=LAMBDA_P, bandwidth=1e10)
+    return PumpSpec(bandwidth=1e10)

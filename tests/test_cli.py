@@ -115,6 +115,24 @@ class TestRateCommand:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: Rayleigh range")
 
+    # all three waists at 1e-160: k w0^2 is subnormal and xi overflows;
+    # wavelengths x 1e300: k_p^2 underflows in the A+B+ divisor
+    @pytest.mark.parametrize("block, values", [
+        ("beams", {"waist_p_m": 1e-160, "waist_1_m": 1e-160, "waist_2_m": 1e-160}),
+        ("material", {"d_eff_m_per_V": 1e300}),
+        ("material", {"crystal_length_m": 1e300}),
+        ("beams", {"lambda_p_m": 7.75e293, "lambda_1_m": 1.55e294,
+                   "lambda_2_m": 1.55e294}),
+    ], ids=["waists", "d_eff", "crystal_length", "wavelengths"])
+    def test_non_finite_closed_form_rejected(self, capsys, tmp_path, block, values):
+        doc = load_json(PPKTP_CONFIG)
+        doc[block].update(values)
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_missing_field_reports_name(self, capsys, tmp_path):
         doc = load_json(PPKTP_CONFIG)
         del doc["pump"]["power_W"]
@@ -229,6 +247,23 @@ class TestScanCommand:
         assert len(lines) == 1 and lines[0].startswith("error: scan range")
         assert "finite grid points" in lines[0]
 
+    def test_phase_beyond_axial_rule_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "scan", "--config", PPKTP_CONFIG, "--variable", "delta_k",
+            "--range=1e307:1e308", "--points", "3",
+        )
+        assert code == 0 and err == ""
+        _, rows = csv_rows(out)
+        assert [r[-1] for r in rows] == ["DomainError"] * 3
+
+    def test_negative_range_after_space(self, capsys):
+        args = ("scan", "--config", PPKTP_CONFIG, "--variable", "delta_k")
+        code, out, err = run_cli(capsys, *args, "--range", "-2000:2000",
+                                 "--points", "5")
+        assert code == 0 and err == ""
+        assert run_cli(capsys, *args, "--range=-2000:2000", "--points", "5") \
+            == (0, out, "")
+
     def test_one_point_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "scan", "--config", PPKTP_CONFIG,
@@ -305,6 +340,18 @@ class TestConfigLoading:
         assert code == 1 and out == ""
         assert err.startswith("error: material.poling_period_m:")
 
+    @pytest.mark.parametrize("command", ["rate", "table"])
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_file_rejected(self, capsys, tmp_path, command, kind):
+        path = tmp_path
+        if kind == "not_utf8":
+            path = tmp_path / "binary.json"
+            path.write_bytes(b"\xff\xfe{")
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_unknown_pump_shape_rejected(self, capsys, tmp_path):
         doc = load_json(PPKTP_CONFIG)
         doc["pump"]["shape"] = "sech"
@@ -338,6 +385,25 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, "table", "--config", cfg)
         assert code == 2
         assert "FAIL" in out and "delta" in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["rows"][0].update(correction_factor="abc"),
+        lambda doc: doc["rows"][0].update(tolerance_rel="x"),
+        lambda doc: doc["rows"][0].update(correction_factor=[]),
+        lambda doc: doc["rows"][0].update(R_th_revised_per_s_per_mW=0),
+        lambda doc: doc["rows"][0].update(tolerance_rel=0),
+        lambda doc: doc["rows"][0].update(correction_factor=math.nan),
+        lambda doc: doc["rows"].append(5),
+        lambda doc: doc["rows"],
+    ], ids=["factor_string", "tolerance_string", "factor_empty", "revised_zero",
+            "tolerance_zero", "factor_nan", "row_not_object", "top_level_list"])
+    def test_malformed_fixture_rejected(self, capsys, tmp_path, edit):
+        doc = load_json(TABLE_FIXTURE)
+        cfg = write_json(tmp_path, "bad.cfg", edit(doc) or doc)
+        code, out, err = run_cli(capsys, "table", "--config", cfg)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_missing_row_field(self, capsys, tmp_path):
         doc = load_json(TABLE_FIXTURE)
@@ -392,6 +458,14 @@ class TestOptimizeCommand:
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {where}:")
+
+    def test_negative_range_after_space(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--config", PPKTP_CONFIG, "--xi-range", "-1:3",
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and "0 < lo < hi" in lines[0]
 
     def test_inverted_range_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from spdc import quadrature
+from spdc.errors import DomainError
 from spdc.quadrature import ell_integral
 
 # |phi| where ell_integral switches Gauss-Legendre rule
@@ -99,3 +100,32 @@ class TestNonFinitePhase:
         got = ell_integral(np.array([0.0, 40.0]), 1.0, offsets=[math.nan, 1.0])
         assert np.all(np.isnan(got[0]))
         assert np.all(np.isfinite(got[1]))
+
+
+class TestRuleCap:
+    def test_largest_rule_matches_reference(self):
+        # 0.78 * 5000 + 10 + 24 = 3,934 nodes, just under the 4,000 cap;
+        # scipy's oscillatory-weight quad (QAWO) is the reference at C = 0
+        phi, xi = 5000.0, 1.0
+
+        def part(f, weight):
+            return quad(f, -1.0, 1.0, weight=weight, wvar=0.5 * phi,
+                        epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+        def u(l):
+            return 1.0 / (1.0 + (l * xi) ** 2)
+
+        def v(l):
+            return -l * xi / (1.0 + (l * xi) ** 2)
+
+        want = part(u, "cos") + part(v, "sin") + 1j * (part(v, "cos") - part(u, "sin"))
+        assert ell_integral(phi, xi) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("phi", [5200.0, -2.0e4, 1e307])
+    def test_beyond_cap_raises(self, phi):
+        with pytest.raises(DomainError, match="4000 Gauss-Legendre nodes"):
+            ell_integral(phi, 1.0)
+
+    def test_offset_beyond_cap_raises(self):
+        with pytest.raises(DomainError):
+            ell_integral(np.array([0.0, 10.0]), 1.0, offsets=[0.0, 6000.0])
