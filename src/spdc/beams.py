@@ -33,12 +33,17 @@ class GaussianMode:
     z0: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_vac <= 0.0:
-            raise DomainError(f"lambda_vac must be positive, got {self.lambda_vac}")
-        if self.w0 <= 0.0:
-            raise DomainError(f"waist must be positive, got {self.w0}")
-        if self.n < 1.0:
-            raise DomainError(f"refractive index must be >= 1, got {self.n}")
+        # written so that NaN fails every check
+        if not (0.0 < self.lambda_vac < math.inf):
+            raise DomainError(
+                f"lambda_vac must be positive and finite, got {self.lambda_vac}"
+            )
+        if not (1.0 <= self.n < math.inf):
+            raise DomainError(f"refractive index must be >= 1 and finite, got {self.n}")
+        if not (0.0 < self.w0 < math.inf):
+            raise DomainError(f"waist must be positive and finite, got {self.w0}")
+        if not math.isfinite(self.z0):
+            raise DomainError(f"waist position z0 must be finite, got {self.z0}")
         z_R = self.z_R
         if not (0.0 < z_R < math.inf):
             raise DomainError(
@@ -106,9 +111,9 @@ class BeamTriple:
     crystal_length: float
 
     def __post_init__(self):
-        if self.crystal_length <= 0.0:
+        if not (0.0 < self.crystal_length < math.inf):
             raise DomainError(
-                f"crystal length must be positive, got {self.crystal_length}"
+                f"crystal length must be positive and finite, got {self.crystal_length}"
             )
 
     @property

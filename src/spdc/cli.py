@@ -94,30 +94,36 @@ def cmd_rate(
     return 0
 
 
-def _scan_rate_at(config: ExperimentConfig, variable: str, x: float):
-    """(rate, xi_agg, a_plus_b_plus) at one scan point."""
-    material = config.material_optics()
-    if variable == "xi":
-        beams = equal_focus_beams(config.beam_triple(), x)
-    elif variable == "waist":
-        cfg = dataclasses.replace(config, waist_p=x, waist_1=x, waist_2=x)
-        beams = cfg.beam_triple()
-    elif variable == "Lz":
-        beams = dataclasses.replace(config, crystal_length=x).beam_triple()
-    elif variable == "delta_k":
-        beams = config.beam_triple()
-    else:
-        raise ConfigError(
-            f"scan variable {variable!r} not one of {SCAN_VARIABLES}"
-        )
-    res = pairs_closed_form(material, beams, CONSTANTS)
-    rate = res.pairs_per_s_per_mW
-    if variable == "delta_k":
-        params = overlap_params(beams, delta_k=x)
-        base = abs(ell_integral(0.0, params.xi_agg, params.C_quad)) ** 2
-        here = abs(ell_integral(params.phi, params.xi_agg, params.C_quad)) ** 2
-        rate *= here / base
-    return rate, res.xi_agg, res.a_plus_b_plus
+def _scan_point(config: ExperimentConfig, variable: str, x: float) -> tuple:
+    """(rate, xi_agg, a_plus_b_plus, status) at one scan point.
+
+    A step that raises leaves NaN for what it did not compute: when only
+    the delta_k suppression fails, the closed-form xi_agg and A+B+ stay.
+    """
+    rate = xi_agg = ab = math.nan
+    try:
+        material = config.material_optics()
+        if variable == "xi":
+            beams = equal_focus_beams(config.beam_triple(), x)
+        elif variable == "waist":
+            cfg = dataclasses.replace(config, waist_p=x, waist_1=x, waist_2=x)
+            beams = cfg.beam_triple()
+        elif variable == "Lz":
+            beams = dataclasses.replace(config, crystal_length=x).beam_triple()
+        else:
+            beams = config.beam_triple()
+        res = pairs_closed_form(material, beams, CONSTANTS)
+        xi_agg, ab = res.xi_agg, res.a_plus_b_plus
+        suppression = 1.0
+        if variable == "delta_k":
+            params = overlap_params(beams, delta_k=x)
+            base = abs(ell_integral(0.0, params.xi_agg, params.C_quad)) ** 2
+            here = abs(ell_integral(params.phi, params.xi_agg, params.C_quad)) ** 2
+            suppression = here / base
+        rate = res.pairs_per_s_per_mW * suppression
+    except SpdcError as exc:
+        return rate, xi_agg, ab, type(exc).__name__
+    return rate, xi_agg, ab, "ok"
 
 
 def cmd_scan(
@@ -147,12 +153,7 @@ def cmd_scan(
 
     print(CSV_HEADER, file=out)
     for x in grid:
-        try:
-            rate, xi_agg, ab = _scan_rate_at(config, variable, float(x))
-            status = "ok"
-        except SpdcError as exc:
-            rate = xi_agg = ab = math.nan
-            status = type(exc).__name__
+        rate, xi_agg, ab, status = _scan_point(config, variable, float(x))
         print(
             ",".join((_fmt(float(x)), _fmt(rate), _fmt(xi_agg), _fmt(ab), status)),
             file=out,

@@ -252,16 +252,19 @@ class MaterialOptics:
     poling_period: Optional[float] = None
 
     def __post_init__(self):
+        # written so that NaN fails every check
         for name in ("ng_p", "ng_1", "ng_2"):
             v = getattr(self, name)
-            if v < 1.0:
-                raise DomainError(f"{name} must be >= 1, got {v}")
-        if self.d_eff < 0.0:
+            if not (1.0 <= v < math.inf):
+                raise DomainError(f"{name} must be >= 1 and finite, got {v}")
+        if not (0.0 <= self.d_eff < math.inf):
             # zero is allowed: a switched-off nonlinearity must give rate 0
-            raise DomainError(f"d_eff must be nonnegative, got {self.d_eff}")
-        if self.poling_period is not None and self.poling_period <= 0.0:
             raise DomainError(
-                f"poling period must be positive, got {self.poling_period}"
+                f"d_eff must be nonnegative and finite, got {self.d_eff}"
+            )
+        if self.poling_period is not None and not (0.0 < self.poling_period < math.inf):
+            raise DomainError(
+                f"poling period must be positive and finite, got {self.poling_period}"
             )
 
     @property

@@ -9,6 +9,12 @@ aggregate parameters (xi, C, D); see Bennink, Phys. Rev. A 81, 053805
 (2010) for the lineage of that reduction. The two must agree to quadrature
 tolerance, which the test suite exploits as a cross-check of the whole
 parameter algebra.
+
+Both integrate with ``quadrature.complex_quad`` in one vectorised pass over
+a panel layout sized from the integrand: a panel spans at most ~pi of
+phase and half the distance to the nearest zero of the denominator, and in
+a poled crystal every domain is split into the same number of panels, so no
+panel straddles a domain wall.
 """
 
 from __future__ import annotations
@@ -21,13 +27,18 @@ import numpy as np
 from .beams import BeamTriple, scaled_beam_parameter
 from .errors import (
     DegenerateConfigurationError,
+    DomainError,
     OverlapSingularityError,
 )
 from .materials import MaterialOptics, domain_walls, poling_profile
-from .quadrature import complex_quad
+from .quadrature import complex_quad, panel_count, panel_edges
 
 # refuse the reduced integrand when its denominator dips below this
 _MIN_DENOMINATOR = 1e-6
+# phase one quadrature panel may span: a little over pi, so that a poling
+# domain anywhere in the central first-order QPM lobe, pi (1 + period / 2 Lz)
+# of phase, stays one panel
+_MAX_PANEL_PHASE = 1.1 * math.pi
 
 
 @dataclass(frozen=True)
@@ -194,6 +205,26 @@ def _denominator_minimum(xi: float, C: float) -> float:
     return math.sqrt(min(vals))
 
 
+def _panel_width(denominator, lo: float, hi: float, rate: float) -> float:
+    """Widest panel for exp(-i rate x) / denominator(x) on [lo, hi].
+
+    A panel spans at most ~pi of phase and half the distance from [lo, hi]
+    to the nearest zero of the denominator. Both overlap denominators are
+    quadratic in x, so their values at the ends and the middle fix them.
+    Inside those limits the order-8 sum is within ~1e-13 of the integral of |f|.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    d_lo, d_mid, d_hi = (complex(denominator(x)) for x in (lo, mid, hi))
+    # the polynomial in u = (x - mid) / half, where [lo, hi] is [-1, 1]
+    coeffs = np.array([0.5 * (d_hi + d_lo) - d_mid, 0.5 * (d_hi - d_lo), d_mid])
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError(f"overlap denominator is not finite on [{lo:.4g}, {hi:.4g}]")
+    u = np.roots(coeffs)
+    gap = half * np.hypot(np.maximum(np.abs(u.real) - 1.0, 0.0), u.imag)
+    width = min(hi - lo, 0.5 * float(np.min(gap, initial=math.inf)))
+    return width if rate == 0.0 else min(width, _MAX_PANEL_PHASE / abs(rate))
+
+
 def overlap_simplified(
     params: OverlapParams,
     chi_eff: float,
@@ -214,6 +245,8 @@ def overlap_simplified(
     near-pole. Units m/V * m.
     """
     xi, C, phi = params.xi_agg, params.C_quad, params.phi
+    if not math.isfinite(phi):
+        raise DomainError(f"phase mismatch phi must be finite, got {phi}")
     if _denominator_minimum(xi, C) < _MIN_DENOMINATOR:
         raise OverlapSingularityError(
             f"reduced denominator reaches |1 + i l xi - C xi^2 l^2| < "
@@ -221,12 +254,14 @@ def overlap_simplified(
             "configuration outside the validity of the reduced form"
         )
 
-    def integrand(ell):
-        return np.exp(-0.5j * phi * ell) / (
-            1.0 + 1j * ell * xi - C * xi * xi * ell * ell
-        )
+    def denominator(ell):
+        return 1.0 + 1j * ell * xi - C * xi * xi * ell * ell
 
-    value, _err = complex_quad(integrand, -1.0, 1.0, tol=quad_tol)
+    def integrand(ell):
+        return np.exp(-0.5j * phi * ell) / denominator(ell)
+
+    width = _panel_width(denominator, -1.0, 1.0, 0.5 * phi)
+    value, _err = complex_quad(integrand, panel_edges(-1.0, 1.0, width), quad_tol)
     return overlap_prefactor(chi_eff, (w_p, w_1, w_2), params.D_norm) * value
 
 
@@ -243,10 +278,15 @@ def overlap_direct(
           chi_bar(z) exp(-i dk z) / (qb_p qb_1* + qb_p qb_2* + qb_1* qb_2*),
 
     with chi_bar the poling sign profile when the material is periodically
-    poled. Poled integrands are split at the domain walls so every panel is
-    smooth. Units m/V * m.
+    poled. The panels split every poling domain alike, so each node lies
+    strictly inside one domain and takes that domain's sign. Raises
+    QuadratureError when the layout needs more than ``MAX_PANELS`` panels
+    or the error estimate is over ``quad_tol``. Units m/V * m.
     """
+    if not math.isfinite(delta_k):
+        raise DomainError(f"delta_k must be finite, got {delta_k}")
     Lz = beams.crystal_length
+    period = material.poling_period
 
     def denominator(z):
         qb_p = scaled_beam_parameter(beams.pump, z)
@@ -255,23 +295,18 @@ def overlap_direct(
         return qb_p * qb_1c + qb_p * qb_2c + qb_1c * qb_2c
 
     def integrand(z):
-        return np.exp(-1j * delta_k * z) / denominator(z)
+        return (poling_profile(z, period, Lz) * np.exp(-1j * delta_k * z)
+                / denominator(z))
 
-    walls = domain_walls(material.poling_period, Lz)
-    edges = np.concatenate(([-Lz / 2.0], walls, [Lz / 2.0]))
-
-    # scale hint keeps per-panel absolute floors commensurate with the result
-    scale_hint = Lz / abs(denominator(0.0))
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        sign = poling_profile(0.5 * (a + b), material.poling_period, Lz)
-        if sign == 0.0:
-            continue
-        value, err = complex_quad(integrand, a, b, tol=quad_tol,
-                                  scale_hint=scale_hint)
-        total += sign * value
-        total_err += err
+    width = _panel_width(denominator, -0.5 * Lz, 0.5 * Lz, delta_k)
+    domain = Lz if period is None else min(Lz, 0.5 * period)
+    per_domain = panel_count(domain, width)
+    # raises past the panel cap before the domain walls are built
+    panel_count(Lz, domain / per_domain)
+    walls = np.concatenate(([-0.5 * Lz], domain_walls(period, Lz), [0.5 * Lz]))
+    steps = np.arange(per_domain) / per_domain
+    edges = np.append(walls[:-1, None] + np.outer(np.diff(walls), steps), walls[-1])
+    value, _err = complex_quad(integrand, edges, quad_tol)
 
     prefactor = (
         -1j
@@ -281,4 +316,4 @@ def overlap_direct(
         * beams.signal.w0
         * beams.idler.w0
     )
-    return prefactor * total
+    return prefactor * value

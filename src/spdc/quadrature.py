@@ -1,17 +1,18 @@
 """Numerical integration helpers shared by the overlap and rate modules.
 
-Two kinds of machinery live here: an adaptive complex-valued wrapper around
-scipy's Gauss-Kronrod integrator for one-off integrals, and fixed-order
-Gauss-Legendre panel rules for the vectorized inner loops of the brute-force
-rate integrals (where millions of oscillatory integrand evaluations make
-per-point adaptivity too slow). Summation order is fixed everywhere so that
-results are deterministic for a given tolerance.
+Everything here is a fixed-order Gauss-Legendre rule on a panel layout the
+caller chooses, evaluated on whole arrays of nodes at once: ``complex_quad``
+for the one-off overlap integrals, which compares the order-8 and order-16
+sums over the same panels for its error estimate, ``ell_integral`` for the
+batches of axial integrals inside the brute-force rate integrals, and
+``panel_edges``/``panel_nodes`` for the layouts. No layout may hold more
+than ``MAX_PANELS`` panels; one that would raises before its nodes are
+built. Summation order is fixed everywhere, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -26,52 +27,44 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def complex_quad(f, a: float, b: float, tol: float, scale_hint: float = 0.0):
-    """Adaptively integrate a complex integrand over [a, b].
+# panels one layout may hold; at the cap an order-16 pass has 800,000 nodes
+MAX_PANELS = 50_000
+# the lower of the two Gauss-Legendre orders complex_quad compares
+_PANEL_ORDER = 8
 
-    ``tol`` is interpreted relative to the larger of |result| and
-    ``scale_hint``; without a hint, an estimate of the integral of |f| takes
-    its place. Returns (value, error_estimate). Raises QuadratureError
-    if the integrator cannot certify the requested tolerance.
+
+def _check_panel_count(count: float):
+    if not (count <= MAX_PANELS):
+        raise QuadratureError(
+            f"quadrature layout needs {count:.4g} panels, more than the cap of "
+            f"{MAX_PANELS}"
+        )
+
+
+def complex_quad(f, edges, tol: float):
+    """Integrate a vectorised complex integrand over the panels between ``edges``.
+
+    ``f`` takes an array of abscissae and returns the integrand there. It is
+    called twice: on the order-8 and on the order-16 Gauss-Legendre nodes of
+    every panel. The order-16 sum is the value and its distance from the
+    order-8 sum the error estimate. ``tol`` is relative to the larger of
+    |value| and the order-16 sum of |f|, which stays away from zero where an
+    oscillating integrand cancels. Returns (value, error_estimate). Raises
+    QuadratureError, carrying the estimate, when the estimate is over that
+    budget or not finite, and before evaluating anything when ``edges`` has
+    more than ``MAX_PANELS`` panels.
     """
-    if tol <= 0.0:
+    if not (tol > 0.0):
         raise QuadratureError(f"quadrature tolerance must be positive, got {tol}")
-    # deferred: scipy.integrate dominates the package import time and only
-    # the overlap cross-checks reach this function
-    from scipy.integrate import IntegrationWarning, quad
-
-    def run(epsabs):
-        # the real and imaginary error estimates add up, so each part gets
-        # half of the absolute and relative tolerance
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            try:
-                re, re_err = quad(
-                    lambda t: f(t).real, a, b,
-                    epsabs=0.5 * epsabs, epsrel=0.5 * tol, limit=400,
-                )
-                im, im_err = quad(
-                    lambda t: f(t).imag, a, b,
-                    epsabs=0.5 * epsabs, epsrel=0.5 * tol, limit=400,
-                )
-            except IntegrationWarning as exc:
-                raise QuadratureError(
-                    f"adaptive quadrature did not converge: {exc}"
-                ) from exc
-        return re + 1j * im, re_err + im_err
-
-    # First pass: crude absolute floor from the scale hint (or pure relative).
-    scale = abs(scale_hint)
-    if scale == 0.0:
-        # fixed-order estimate of the integral of |f|: unlike |integral of f|
-        # it stays away from zero where an oscillating integrand cancels
-        x, w = gauss_legendre(32)
-        mid, hw = 0.5 * (a + b), 0.5 * (b - a)
-        scale = hw * float(np.sum(w * np.abs([f(t) for t in mid + hw * x])))
-    epsabs = tol * max(scale, 1e-300)
-    value, err = run(epsabs)
-    budget = tol * max(abs(value), scale)
-    if err > budget and err > epsabs:
+    _check_panel_count(len(edges) - 1)
+    nodes, weights = panel_nodes(edges, _PANEL_ORDER)
+    coarse = complex(weights @ f(nodes))
+    nodes, weights = panel_nodes(edges, 2 * _PANEL_ORDER)
+    values = f(nodes)
+    value = complex(weights @ values)
+    err = abs(value - coarse)
+    budget = tol * max(abs(value), float(weights @ np.abs(values)))
+    if not (math.isfinite(err) and err <= budget):
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} exceeds budget {budget:.3e}",
             estimate=err,
@@ -143,10 +136,20 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     return complex(out) if out.ndim == 0 else out
 
 
+def panel_count(length: float, max_width: float) -> int:
+    """Number of equal panels of width <= max_width covering ``length``.
+
+    Raises QuadratureError when that is more than ``MAX_PANELS`` or not a
+    finite number (a zero width included), before anything is allocated.
+    """
+    count = length / max_width if max_width > 0.0 else math.inf
+    _check_panel_count(count)
+    return max(1, math.ceil(count))
+
+
 def panel_edges(lo: float, hi: float, max_width: float) -> np.ndarray:
     """Uniform panel edges covering [lo, hi] with width <= max_width."""
-    n = max(1, int(math.ceil((hi - lo) / max_width)))
-    return np.linspace(lo, hi, n + 1)
+    return np.linspace(lo, hi, panel_count(hi - lo, max_width) + 1)
 
 
 def panel_nodes(edges: np.ndarray, order: int):

@@ -157,6 +157,22 @@ class TestInvariants:
         with pytest.raises(DomainError):
             GaussianMode(810e-9, 0.5, 1e-6)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field, named", [
+        ("lambda_vac", "lambda_vac"), ("n", "refractive index"),
+        ("w0", "waist must"), ("z0", "z0"),
+    ])
+    def test_non_finite_field_named(self, field, named, value):
+        kwargs = {"lambda_vac": 810e-9, "n": 1.8, "w0": 25e-6, "z0": 0.0, field: value}
+        with pytest.raises(DomainError, match=named):
+            GaussianMode(**kwargs)
+
+    @pytest.mark.parametrize("Lz", [math.nan, math.inf])
+    def test_non_finite_crystal_length(self, Lz):
+        mode = GaussianMode(810e-9, 1.8, 25e-6)
+        with pytest.raises(DomainError, match="crystal length"):
+            BeamTriple(mode, mode, mode, crystal_length=Lz)
+
     @pytest.mark.parametrize("w0", [1e-300, 1e200])
     def test_rayleigh_range_must_be_finite_positive(self, w0):
         # k w0^2 underflows to 0 or overflows to inf

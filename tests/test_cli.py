@@ -256,6 +256,23 @@ class TestScanCommand:
         _, rows = csv_rows(out)
         assert [r[-1] for r in rows] == ["DomainError"] * 3
 
+    def test_phase_beyond_axial_rule_keeps_closed_form_columns(self, capsys):
+        # only the suppression factor failed: xi_agg and A+B+ are the
+        # closed-form values the rate command prints
+        code, out, _ = run_cli(
+            capsys, "scan", "--config", PPKTP_CONFIG, "--variable", "delta_k",
+            "--range=1e307:1e308", "--points", "3",
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        code, rate_out, _ = run_cli(capsys, "rate", "--config", PPKTP_CONFIG)
+        assert code == 0
+        xi_line = next(l for l in rate_out.splitlines() if l.startswith("xi_agg"))
+        for r in rows:
+            assert r[1] == "nan" and r[-1] == "DomainError"
+            assert math.isfinite(float(r[2])) and math.isfinite(float(r[3]))
+            assert xi_line == f"xi_agg = {r[2]}  A+B+ = {r[3]}"
+
     def test_negative_range_after_space(self, capsys):
         args = ("scan", "--config", PPKTP_CONFIG, "--variable", "delta_k")
         code, out, err = run_cli(capsys, *args, "--range", "-2000:2000",

@@ -204,6 +204,13 @@ class TestMaterialOptics:
         with pytest.raises(DomainError):
             MaterialOptics(1.6, 1.6, 1.7, 3e-12, poling_period=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["ng_p", "ng_1", "ng_2", "d_eff", "poling_period"])
+    def test_non_finite_field_named(self, field, value):
+        kwargs = {"ng_p": 1.6, "ng_1": 1.6, "ng_2": 1.7, "d_eff": 3e-12, field: value}
+        with pytest.raises(DomainError, match=field.replace("_period", " period")):
+            MaterialOptics(**kwargs)
+
     def test_zero_d_eff_allowed(self):
         m = MaterialOptics(1.6, 1.6, 1.7, 0.0)
         assert m.chi2_eff == 0.0

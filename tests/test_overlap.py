@@ -1,10 +1,17 @@
 """Aggregate overlap parameters and the two overlap-integral routes."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+
+import spdc
 
 from spdc import (
     BeamTriple,
@@ -20,8 +27,15 @@ from spdc import (
     phase_mismatch_phi,
     quadratic_coefficient,
 )
-from spdc.errors import DegenerateConfigurationError, OverlapSingularityError
-from spdc.materials import CONSTANTS
+from spdc.beams import scaled_beam_parameter
+from spdc.errors import (
+    DegenerateConfigurationError,
+    DomainError,
+    OverlapSingularityError,
+    QuadratureError,
+)
+from spdc.materials import CONSTANTS, domain_walls, poling_profile
+from spdc.quadrature import MAX_PANELS
 
 
 def random_inputs(rng):
@@ -52,6 +66,41 @@ def random_beam_config(rng):
     )
     delta_k = rng.uniform(-2.0, 2.0) * 2.0 * math.pi / Lz
     return beams, material, delta_k
+
+
+def adaptive_overlap_direct(beams, material, delta_k, tol=1e-13):
+    """overlap_direct by scipy's adaptive quad: a real and an imaginary call
+    per poling domain, with an absolute floor from the integral of |f|."""
+    Lz = beams.crystal_length
+
+    def f(z):
+        qb_p = scaled_beam_parameter(beams.pump, z)
+        qb_1c = np.conj(scaled_beam_parameter(beams.signal, z))
+        qb_2c = np.conj(scaled_beam_parameter(beams.idler, z))
+        return np.exp(-1j * delta_k * z) / (qb_p * qb_1c + qb_p * qb_2c + qb_1c * qb_2c)
+
+    z = np.linspace(-Lz / 2.0, Lz / 2.0, 20001)
+    floor = tol * np.trapezoid(np.abs(f(z)), z)
+    edges = np.concatenate(([-Lz / 2.0], domain_walls(material.poling_period, Lz),
+                            [Lz / 2.0]))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        sign = poling_profile(0.5 * (a + b), material.poling_period, Lz)
+        epsabs = floor * (b - a) / Lz
+        re = quad(lambda t: f(t).real, a, b, epsabs=epsabs, epsrel=tol, limit=200)[0]
+        im = quad(lambda t: f(t).imag, a, b, epsabs=epsabs, epsrel=tol, limit=200)[0]
+        total += sign * (re + 1j * im)
+    w_p, w_1, w_2 = beams.waists()
+    return -1j * material.chi2_eff * math.sqrt(8.0 / math.pi) * w_p * w_1 * w_2 * total
+
+
+def equal_focus_triple(Lz, xi, n=(1.8, 1.8, 1.8), z0=(0.0, 0.0, 0.0)):
+    """Pump at 775 nm, signal and idler at 1550 nm, all at focal parameter xi."""
+    modes = []
+    for lam, n_j, z0_j in zip((775e-9, 1550e-9, 1550e-9), n, z0):
+        k = 2 * math.pi * n_j / lam
+        modes.append(GaussianMode(lam, n_j, math.sqrt(Lz / (k * xi)), z0=z0_j))
+    return BeamTriple(*modes, crystal_length=Lz)
 
 
 class TestAggregateFocalParameter:
@@ -232,6 +281,13 @@ class TestOverlapSimplified:
         with pytest.raises(OverlapSingularityError):
             overlap_simplified(params, 4.8e-12, 26e-6, 38e-6, 37e-6, 1e-2)
 
+    @pytest.mark.parametrize("xi", [1e200, math.nan])
+    def test_non_finite_denominator_rejected(self, xi):
+        params = OverlapParams(xi_agg=xi, C_quad=0.01, D_norm=3.2e11,
+                               a_plus_b_plus=4.0, phi=0.0)
+        with pytest.raises(DomainError, match="denominator"):
+            overlap_simplified(params, 4.8e-12, 26e-6, 38e-6, 37e-6, 1e-2)
+
     def test_converges_at_lobe_zero(self):
         # phi sits where the axial integral nearly cancels, so its magnitude
         # cannot set the absolute error floor
@@ -303,6 +359,53 @@ class TestOverlapDirect:
             )
             assert abs(direct - simplified) <= 1e-9 * abs(direct)
 
+    @pytest.mark.parametrize("cycles", [0.0, 2.3, 17.6])
+    def test_matches_adaptive_reference_strong_focus(self, cycles):
+        # xi = 10, so z_R = Lz / 20; displaced waists and unequal indices
+        # give the denominator zeros off the axis and C != 0
+        Lz = 1e-2
+        beams = equal_focus_triple(Lz, 10.0, n=(1.83, 1.74, 1.81),
+                                   z0=(0.4e-3, -0.2e-3, 0.1e-3))
+        material = MaterialOptics(1.85, 1.84, 1.86, 2.4e-12)
+        dk = cycles * 2.0 * math.pi / Lz
+        got = overlap_direct(beams, material, dk, quad_tol=1e-11)
+        want = adaptive_overlap_direct(beams, material, dk)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("offset", [0.0, 2500.0, -9000.0])
+    def test_poled_matches_adaptive_reference(self, offset):
+        Lz, period = 1e-3, 10e-6
+        beams = equal_focus_triple(Lz, 0.8)
+        material = MaterialOptics(1.85, 1.84, 1.86, 2.4e-12, poling_period=period)
+        dk = 2.0 * math.pi / period + offset
+        got = overlap_direct(beams, material, dk, quad_tol=1e-11)
+        want = adaptive_overlap_direct(beams, material, dk)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_panel_cap_raises_before_building_walls(self):
+        # four times as many domains as the panel cap: the walls alone take
+        # megabytes, the order-16 nodes tens of megabytes
+        Lz = 1e-3
+        period = 2.0 * Lz / (4 * MAX_PANELS)
+        material = MaterialOptics(1.85, 1.84, 1.86, 2.4e-12, poling_period=period)
+        beams = equal_focus_triple(Lz, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError, match="cap"):
+                overlap_direct(beams, material, 2.0 * math.pi / period)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("dk", [math.nan, math.inf])
+    def test_non_finite_mismatch_rejected(self, ppktp_material, ppktp_base_beams, dk):
+        with pytest.raises(DomainError, match="delta_k"):
+            overlap_direct(ppktp_base_beams, ppktp_material, dk)
+        params = overlap_params(ppktp_base_beams, delta_k=dk)
+        with pytest.raises(DomainError, match="phi"):
+            overlap_simplified(params, 4.8e-12, 26e-6, 38e-6, 37e-6, 1e-2)
+
     def test_qpm_peak_at_first_order(self):
         Lz, period = 1e-3, 10e-6
         n = 1.8
@@ -336,3 +439,27 @@ class TestOverlapParamsBundle:
         assert p.xi_agg == aggregate_focal_parameter(k_p, k_1, k_2, *xis)
         assert p.phi == dk * ppktp_base_beams.crystal_length
         assert p.D_norm > 0
+
+
+def test_overlaps_import_no_scipy():
+    # scipy is a test-side reference only; the package integrates without it
+    code = """
+import math, sys
+from spdc import (BeamTriple, GaussianMode, MaterialOptics, overlap_direct,
+                  overlap_params, overlap_simplified)
+modes = [GaussianMode(lam, 1.8, 30e-6) for lam in (775e-9, 1550e-9, 1550e-9)]
+beams = BeamTriple(*modes, crystal_length=1e-2)
+material = MaterialOptics(1.85, 1.84, 1.86, 2.4e-12, poling_period=10e-6)
+direct = overlap_direct(beams, material, 2 * math.pi / 10e-6)
+simplified = overlap_simplified(overlap_params(beams, 0.0), material.chi2_eff,
+                                *beams.waists(), beams.crystal_length)
+assert math.isfinite(abs(direct)) and math.isfinite(abs(simplified))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(pathlib.Path(spdc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

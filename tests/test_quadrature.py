@@ -1,4 +1,5 @@
-"""Axial integral: the factored offsets path and non-finite phases."""
+"""Axial integral: the factored offsets path and non-finite phases; the
+fixed-rule complex integrator."""
 
 import math
 
@@ -7,8 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from spdc import quadrature
-from spdc.errors import DomainError
-from spdc.quadrature import ell_integral
+from spdc.errors import DomainError, QuadratureError
+from spdc.quadrature import MAX_PANELS, complex_quad, ell_integral
 
 # |phi| where ell_integral switches Gauss-Legendre rule
 BUCKET_EDGES = (20.0, 50.0, 100.0, 200.0, 400.0, 700.0, 1100.0, 1600.0)
@@ -129,3 +130,40 @@ class TestRuleCap:
     def test_offset_beyond_cap_raises(self):
         with pytest.raises(DomainError):
             ell_integral(np.array([0.0, 10.0]), 1.0, offsets=[0.0, 6000.0])
+
+
+class TestComplexQuad:
+    def test_exact_on_polynomials_below_degree_16(self):
+        # the order-8 rule already integrates degree 15 exactly, so both
+        # passes agree to rounding
+        rng = np.random.default_rng(61)
+        coef = rng.normal(size=16) + 1j * rng.normal(size=16)
+        poly = np.polynomial.Polynomial(coef)
+        edges = np.array([-1.0, -0.2, 0.3, 2.0])
+        value, err = complex_quad(poly, edges, tol=1e-12)
+        anti = poly.integ()
+        want = anti(edges[-1]) - anti(edges[0])
+        assert abs(value - want) <= 1e-13 * abs(want)
+        assert err <= 1e-13 * abs(want)
+
+    def test_budget_exceeded_carries_finite_estimate(self):
+        # a pole 1e-3 off one coarse panel: the two orders disagree
+        def f(x):
+            return 1.0 / (x - (0.5 + 1e-3j))
+
+        with pytest.raises(QuadratureError) as info:
+            complex_quad(f, np.array([0.0, 1.0]), tol=1e-9)
+        assert math.isfinite(info.value.estimate) and info.value.estimate > 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        calls = []
+        with pytest.raises(QuadratureError, match="tolerance"):
+            complex_quad(calls.append, np.array([0.0, 1.0]), tol=tol)
+        assert calls == []
+
+    def test_panel_cap_raises_before_evaluating(self):
+        calls = []
+        with pytest.raises(QuadratureError, match="cap"):
+            complex_quad(calls.append, np.linspace(0.0, 1.0, MAX_PANELS + 2), tol=1e-9)
+        assert calls == []
