@@ -170,9 +170,9 @@ def group_index(model: DispersionModel, lam: float) -> float:
 
 def wavenumber(n: float, lam: float) -> float:
     """Wavevector magnitude k = 2 pi n / lambda (1/m) inside the medium."""
-    if lam <= 0.0:
+    if not (lam > 0.0):
         raise DomainError(f"wavelength must be positive, got {lam}")
-    if n < 1.0:
+    if not (n >= 1.0):
         raise DomainError(f"refractive index must be >= 1, got {n}")
     return 2.0 * math.pi * n / lam
 
@@ -193,7 +193,7 @@ def inverse_chi2(
         zeta_eff = - chi2_eff / (eps0^2 n_p^2 n_1^2 n_2^2)
     """
     for name, n in (("n_p", n_p), ("n_1", n_1), ("n_2", n_2)):
-        if n < 1.0:
+        if not (n >= 1.0):
             raise DomainError(f"{name} must be >= 1, got {n}")
     eps0 = constants.epsilon0
     return -chi2_eff / (eps0 * eps0 * (n_p * n_1 * n_2) ** 2)
@@ -206,8 +206,10 @@ def poling_profile(z, poling_period: Optional[float], Lz: float):
     periodically-poled square wave whose first domain starts with +1 at
     z = -Lz/2 and flips every half period. Accepts scalars or arrays.
     """
-    if poling_period is not None and poling_period <= 0.0:
+    if poling_period is not None and not (poling_period > 0.0):
         raise DomainError(f"poling period must be positive, got {poling_period}")
+    if not (Lz > 0.0):
+        raise DomainError(f"crystal length must be positive, got {Lz}")
     z_arr = np.asarray(z, dtype=float)
     inside = np.abs(z_arr) <= Lz / 2.0
     if poling_period is None:

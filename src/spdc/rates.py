@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Optional
 
 import numpy as np
@@ -37,13 +38,21 @@ from .overlap import (
     phase_mismatch_coefficients,
     phase_mismatch_phi,
 )
-from .quadrature import ell_integral, panel_edges, panel_nodes
+from .quadrature import ell_integral, panel_nodes
 
 _MILLIWATT = 1e-3
 # relative ng_1 == ng_2 threshold below which the linear model is refused
 _DEGENERATE_NG_RTOL = 1e-9
-# brute-force pump window half-width in units of the pump bandwidth sigma
-_PUMP_HALFWIDTH_SIGMAS = 6.0
+# relative error the default phi window is sized for, per error term
+_WINDOW_TARGET = 1e-4
+# k in the default window's pole-lobe reach k xi ln(1 / target), where the
+# lobe exp(-|phi| / xi) is target^k and its cross term with the 1/phi tail
+# target^(k/2) times 8 / (pi xi Phi); k = 1.5 puts both under the target
+_LOBE_WINDOW_FACTOR = 1.5
+# Gauss-Hermite pump-axis order on the fine pass (the coarse pass takes half)
+# and the most the phase spread of a broadband pump may raise it to
+_PUMP_ORDER = 8
+_MAX_PUMP_ORDER = 256
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_BRUTE_FORCE = "brute_force"
@@ -82,10 +91,16 @@ class PumpSpec:
 class RateResult:
     """Outcome of a rate computation.
 
-    ``quadrature_error_estimate`` is a relative estimate (refinement
-    difference plus window-truncation estimate) for the brute-force path,
-    None for the closed form. ``diagnostics`` carries window sizes and the
-    like; informational only.
+    ``quadrature_error_estimate`` is a relative estimate for the
+    brute-force path, None for the closed form: the refinement difference
+    plus the next-order tail term plus the pole lobe beyond the window, all
+    left after the analytic 1/phi^2 tail has been added to the window
+    integral. For the brute-force path ``diagnostics`` holds the method,
+    the phi window and its dwm edge, each pass's Gauss-Hermite pump order,
+    dwm node count and (rows, columns) phi grid under ``passes``, the raw
+    ``window_integral`` and the ``tail_correction`` (pairs per pump
+    photon, summing to the result) and the three estimate terms;
+    informational only.
     """
 
     pairs_per_pump_photon: float
@@ -166,30 +181,66 @@ def pairs_closed_form(
     )
 
 
-def _auto_phi_halfwidth(xi: float, target: float) -> float:
-    """Window half-width in phi for a given relative truncation target.
+def _auto_phi_halfwidth(xi: float) -> float:
+    """Default phi window half-width of the brute-force integrals.
 
-    The squared axial integral decays like 1/phi^2, so the discarded tail of
-    its phi integral is ~ 2 xi / (pi (1 + xi^2) arctan(xi) Phi); invert for
-    Phi. Verified against direct evaluation to a few percent of itself.
+    After the 1/phi^2 tail correction two errors are left, each sized here
+    to ``_WINDOW_TARGET`` of the rate. The first is the next-order tail
+    term, ~ coeff / Phi^2 with coeff / Phi the tail's share of the rate
+    (coeff = 2 xi / (pi (1 + xi^2) arctan(xi))), so Phi >= sqrt(coeff /
+    target). The second is the lobe exp(-|phi| / xi) of the pole at
+    l = i / xi, which the 1/phi^2 series does not see, so
+    Phi >= k xi ln(1 / target). The floor of 50 keeps the window where the
+    asymptotic tail series holds; the cap of 2e4 bounds the grid.
     """
     x = abs(xi)
     if x < 1e-12:
         coeff = 2.0 / math.pi  # limit of the tail coefficient as xi -> 0
     else:
         coeff = 2.0 * x / (math.pi * (1.0 + x * x) * math.atan(x))
-    return min(2.0e4, max(50.0, coeff / target))
+    return min(2.0e4, max(
+        50.0,
+        math.sqrt(coeff / _WINDOW_TARGET),
+        _LOBE_WINDOW_FACTOR * x * math.log(1.0 / _WINDOW_TARGET),
+    ))
+
+
+@lru_cache(maxsize=None)
+def _pump_rule(order: int):
+    """Probabilists' Gauss-Hermite nodes and weights for the unit Gaussian density."""
+    x, w = np.polynomial.hermite_e.hermegauss(order)
+    return x, w / math.sqrt(2.0 * math.pi)
+
+
+def _pump_rule_order(phase_spread: float) -> int:
+    """Fine-pass Gauss-Hermite order for a pump of phase spread |coeff_p| sigma.
+
+    The row integrals oscillate like exp(i coeff_p sigma x) in the unit
+    pump variable x, and an n-node rule integrates exp(i kappa x) against
+    the Gaussian to ~ n! kappa^(2n) / (2n)!, so the order grows like
+    kappa^2. It is even, so the coarse pass takes exactly half.
+    """
+    growth = phase_spread * phase_spread
+    if not (growth <= 0.5 * (_MAX_PUMP_ORDER - _PUMP_ORDER)):
+        raise QuadratureError(
+            f"pump phase spread {phase_spread:.4g} rad needs a Gauss-Hermite "
+            f"rule of more than {_MAX_PUMP_ORDER} nodes"
+        )
+    return _PUMP_ORDER + 2 * int(growth)
 
 
 def _dwm_panel_edges(coeff_m: float, power: int, phi_halfwidth: float):
     """Fine and coarse difference-detuning panel edges over the phi window.
 
-    Each side gets m = max(2, ceil(Phi / pi)) panels whose edges sit where
-    |coeff_m| |dwm|^power = Phi k / m, so every panel spans at most pi of
-    phase and the outermost edge maps to exactly ``phi_halfwidth``. The
-    coarse layout drops every other edge and keeps the last one.
+    Each side gets m = max(2, ceil(Phi / (2 pi))) panels whose edges sit
+    where |coeff_m| |dwm|^power = Phi k / m, so every panel spans at most
+    2 pi of phase and the outermost edge maps to exactly ``phi_halfwidth``.
+    That is one period of the fastest oscillation of |ell_integral|^2,
+    whose spectrum in phi lies within [-1, 1]; eight Gauss-Legendre nodes
+    resolve it. The coarse layout drops every other edge and keeps the
+    last one.
     """
-    m = max(2, int(math.ceil(phi_halfwidth / math.pi)))
+    m = max(2, int(math.ceil(phi_halfwidth / (2.0 * math.pi))))
     pos = (phi_halfwidth * (np.arange(m + 1) / m) / abs(coeff_m)) ** (1.0 / power)
     pos_coarse = pos[::2] if m % 2 == 0 else np.append(pos[::2], pos[-1])
     return (
@@ -215,65 +266,87 @@ def _bruteforce_rate(
 
     The phase mismatch is phi = coeff_p dwp + coeff_m dwm^power + qpm_shift
     in the sum (dwp) and difference (dwm) detunings: power 1 is linear
-    phase matching, power 2 the degenerate quadratic one. Tensor
-    Gauss-Legendre panels cover +-6 pump sigmas and the phi window; a pass
-    on a layout with half as many panels per axis gives the refinement
-    estimate, and the analytic 1/phi^2 tail beyond the window the
-    truncation estimate. Each pass gets its whole table of axial integrals
-    from one ``ell_integral`` call with the pump rows as ``offsets``, so
-    the exponentials number (pump rows + dwm columns) per rule node.
+    phase matching, power 2 the degenerate quadratic one. The pump axis is
+    a Gauss-Hermite rule for the Gaussian pump density and the dwm axis
+    Gauss-Legendre panels over the phi window; a pass with half the pump
+    nodes and half as many dwm panels gives the refinement estimate. The
+    analytic 1/phi^2 tail beyond the window is added to the window
+    integral, and the error estimate adds the refinement difference, the
+    next-order tail term and the pole lobe beyond the window. Each pass
+    gets its whole table of axial integrals from one ``ell_integral`` call
+    with the pump rows as ``offsets``, so the exponentials number
+    (pump rows + dwm columns) per rule node.
     """
     if not (quad_tol > 0.0):
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")
     params = overlap_params(beams)
-    xi = params.xi_agg
+    xi, C = params.xi_agg, params.C_quad
     if phi_halfwidth is None:
-        phi_halfwidth = _auto_phi_halfwidth(xi, 1e-3)
+        phi_halfwidth = _auto_phi_halfwidth(xi)
 
     sigma = pump.bandwidth
-    w_pump = _PUMP_HALFWIDTH_SIGMAS * sigma
+    order = _pump_rule_order(abs(coeff_p) * sigma)
     dwm_fine, dwm_coarse = _dwm_panel_edges(coeff_m, power, phi_halfwidth)
+    passes = {}
 
-    def window_integral(dwp_edges, dwm_edges):
-        dwp, dwp_w = panel_nodes(dwp_edges, 8)
+    def window_integral(name, pump_order, dwm_edges):
+        x, x_w = _pump_rule(pump_order)
         dwm, dwm_w = panel_nodes(dwm_edges, 8)
-        s2 = pump.spectral_density(dwp)
         axial = ell_integral(
-            coeff_m * dwm ** power, xi, params.C_quad,
-            offsets=coeff_p * dwp + qpm_shift,
+            coeff_m * dwm ** power, xi, C, offsets=coeff_p * sigma * x + qpm_shift,
         )
-        inner = np.abs(axial) ** 2 @ dwm_w
-        return float(np.sum(dwp_w * s2 * inner))
+        passes[name] = {
+            "pump_rule_order": pump_order,
+            "dwm_nodes": dwm.size,
+            "phi_grid": axial.shape,
+        }
+        return float(x_w @ (np.abs(axial) ** 2 @ dwm_w))
 
-    # a non-finite pass makes quad_est NaN or inf, which the check below
-    # rejects, so numpy's floating-point warnings would only add noise
+    # a non-finite pass makes the refinement estimate NaN or inf, which the
+    # check below rejects, so numpy's floating-point warnings would only
+    # add noise
     with np.errstate(all="ignore"):
-        fine = window_integral(panel_edges(-w_pump, w_pump, 1.5 * sigma), dwm_fine)
-        coarse = window_integral(panel_edges(-w_pump, w_pump, 3.0 * sigma), dwm_coarse)
+        fine = window_integral("fine", order, dwm_fine)
+        coarse = window_integral("coarse", order // 2, dwm_coarse)
 
-    # |ell_integral|^2 ~ 8 / ((1 + xi^2) phi^2) beyond the window; its two
-    # tails in dwm, against a pump density that integrates to ~1
+    # |ell_integral|^2 ~ 8 / (|1 + i xi - C xi^2|^2 phi^2) beyond the
+    # window; its two tails in dwm, against a pump density that integrates
+    # to one
     w_minus = float(dwm_fine[-1])
+    edge_denominator_sq = (1.0 - C * xi * xi) ** 2 + xi * xi
     tail_abs = 16.0 / (
-        (2 * power - 1) * (1.0 + xi * xi) * coeff_m ** 2 * w_minus ** (2 * power - 1)
+        (2 * power - 1) * edge_denominator_sq * coeff_m ** 2 * w_minus ** (2 * power - 1)
     )
-    if fine <= 0.0:
-        quad_est = truncation = 0.0
-    else:
-        quad_est = abs(fine - coarse) / fine
-        truncation = tail_abs / fine
-    if not (quad_est <= quad_tol):
+    # on the lobe side of phi the pole at l = i / xi adds
+    # P = (2 pi / xi) exp(-|phi| / (2 xi)) to ell_integral; bound |P|^2 and
+    # its cross term with the 2 / (|phi| sqrt(1 + xi^2)) endpoint terms
+    # beyond the window, then map phi to dwm
+    phi_edge = abs(coeff_m) * w_minus ** power
+    lobe_abs = (
+        4.0 * math.pi ** 2 * math.exp(-phi_edge / xi) / xi
+        + 32.0 * math.pi * math.exp(-0.5 * phi_edge / xi) / ((1.0 + xi * xi) * phi_edge)
+    ) / (abs(coeff_m) * w_minus ** (power - 1))
+    total = fine + tail_abs
+    refinement = abs(fine - coarse) / total
+    # with g(l) = 1 / (1 + i xi l - C xi^2 l^2), the oscillating
+    # -(8 / phi^2) Re(exp(-i phi) g(1) g(-1)*) part of |ell_integral|^2 and,
+    # for power 2, its one-signed 1/phi^3 part; 1 + 4 / Phi covers the
+    # terms one order further out
+    next_order = (2 * power - 1) * (1.0 + 4.0 / phi_edge) * tail_abs / (phi_edge * total)
+    lobe = lobe_abs / total
+    if not (refinement <= quad_tol):
         raise QuadratureError(
-            f"brute-force quadrature refinement estimate {quad_est:.3e} "
+            f"brute-force quadrature refinement estimate {refinement:.3e} "
             f"exceeds tolerance {quad_tol:.3e}",
-            estimate=quad_est,
+            estimate=refinement,
         )
 
     # d(w1) d(w2) = d(dwp) d(dwm) / 2
     amplitude = _jsa_prefactor(material, beams, constants) * abs(
         overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
     )
-    n_pairs = 0.5 * amplitude * amplitude * fine
+    to_pairs = 0.5 * amplitude * amplitude
+    n_pairs = to_pairs * total
     omega_p = _angular_frequency(beams.pump.lambda_vac, constants)
     return RateResult(
         pairs_per_pump_photon=n_pairs,
@@ -281,14 +354,18 @@ def _bruteforce_rate(
         xi_agg=xi,
         a_plus_b_plus=params.a_plus_b_plus,
         method=METHOD_BRUTE_FORCE,
-        quadrature_error_estimate=quad_est + truncation,
+        quadrature_error_estimate=refinement + next_order + lobe,
         diagnostics={
+            "method": "Gauss-Hermite pump x Gauss-Legendre dwm, 1/phi^2 tail added",
             "phi_halfwidth": phi_halfwidth,
             "delta_omega_minus_halfwidth": w_minus,
-            "pump_halfwidth_sigmas": _PUMP_HALFWIDTH_SIGMAS,
             **diag,
-            "quad_refinement_estimate": quad_est,
-            "truncation_estimate": truncation,
+            "passes": passes,
+            "window_integral": to_pairs * fine,
+            "tail_correction": to_pairs * tail_abs,
+            "refinement_estimate": refinement,
+            "next_order_estimate": next_order,
+            "lobe_estimate": lobe,
         },
     )
 
@@ -308,12 +385,12 @@ def pairs_via_bruteforce(
     Integrates |psi(w1, w2)|^2 of the joint spectral amplitude over the pump
     band and the phase-matching band in the sum/difference detuning
     coordinates, with the linear phase-mismatch model and the axial integral
-    evaluated pointwise (no delta-function reduction). The phi window
-    defaults to the half-width whose analytically estimated truncated tail
-    is 0.1% of the rate (the squared axial integral has a slowly decaying
-    1/phi^2 tail; a fixed small window would silently lose several
-    percent); ``phi_halfwidth`` overrides it. The quadrature refinement
-    estimate must come in under ``quad_tol``.
+    evaluated pointwise (no delta-function reduction). The squared axial
+    integral has a slowly decaying 1/phi^2 tail, which is added
+    analytically beyond the phi window; the default window keeps what that
+    leaves out (the next-order tail term and the pole lobe at large xi)
+    near 1e-4 of the rate, and ``phi_halfwidth`` overrides it. The
+    quadrature refinement estimate must come in under ``quad_tol``.
     """
     _require_nondegenerate(material)
     coeff_p, coeff_m = phase_mismatch_coefficients(
@@ -435,7 +512,7 @@ def bennink_ratio(
     ratio = (1/epsilon) ng1 ng2 ngp / (n1^2 n2^2 np^2), where epsilon is
     Bennink's efficiency factor (~1 for AR-coated bulk crystals).
     """
-    if epsilon_qpm <= 0.0:
+    if not (epsilon_qpm > 0.0):
         raise DomainError(f"epsilon must be positive, got {epsilon_qpm}")
     return (ng_1 * ng_2 * ng_p) / (n_1 ** 2 * n_2 ** 2 * n_p ** 2) / epsilon_qpm
 
@@ -447,14 +524,14 @@ def tutorial_correction_factor(n_p: float, n_1: float, n_2: float, ng_p: float) 
     rates to account for the fully continuous pump treatment.
     """
     for name, n in (("n_p", n_p), ("n_1", n_1), ("n_2", n_2), ("ng_p", ng_p)):
-        if n < 1.0:
+        if not (n >= 1.0):
             raise DomainError(f"{name} must be >= 1, got {n}")
     return n_1 * n_2 * ng_p / n_p ** 3
 
 
 def apply_table_correction(rate_published: float, factor: float) -> float:
     """Apply a correction factor to a published theoretical rate (1/(s mW))."""
-    if factor <= 0.0:
+    if not (factor > 0.0):
         raise DomainError(f"correction factor must be positive, got {factor}")
     return rate_published * factor
 

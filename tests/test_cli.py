@@ -83,18 +83,33 @@ class TestRateCommand:
         assert code == 0
         assert "degenerate numeric" in out
 
-    def test_oracle_nan_estimate_is_numerical_error(self, capsys, tmp_path):
-        # the pump density underflows to 0/0 on every node: the refinement
-        # estimate is NaN and must fail the tolerance check
-        doc = load_json(PPKTP_CONFIG)
-        doc["pump"]["bandwidth_rad_s"] = 1e-300
-        cfg = write_json(tmp_path, "narrow.json", doc)
-        code, _, err = run_cli(capsys, "rate", "--config", cfg, "--oracle")
+    def test_oracle_nan_estimate_is_numerical_error(self, capsys, monkeypatch):
+        # NaN axial integrals make the refinement estimate NaN, which must
+        # fail the tolerance check
+        import spdc.rates
+
+        monkeypatch.setattr(
+            spdc.rates, "ell_integral",
+            lambda b, xi, C, offsets: np.full((len(offsets), len(b)), complex(math.nan)),
+        )
+        code, _, err = run_cli(capsys, "rate", "--config", PPKTP_CONFIG, "--oracle")
         assert code == 2
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical error:")
         assert "estimate nan" in lines[0]
+
+    def test_oracle_cw_limit_pump(self, capsys, tmp_path):
+        # the Gauss-Hermite pump axis evaluates no density, so a vanishing
+        # bandwidth is the CW limit, not an underflow
+        doc = load_json(PPKTP_CONFIG)
+        doc["pump"]["bandwidth_rad_s"] = 1e-300
+        cfg = write_json(tmp_path, "narrow.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg, "--oracle")
+        assert code == 0 and err == ""
+        dev = float(out.split("oracle relative deviation:")[1].split()[0])
+        est = float(out.split("oracle error estimate:")[1].split()[0])
+        assert abs(dev) <= est <= 2e-4
 
     def test_non_numeric_quad_tol_rejected(self, capsys, tmp_path):
         doc = load_json(PPKTP_CONFIG)
