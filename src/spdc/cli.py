@@ -295,7 +295,11 @@ def main(argv=None) -> int:
             config = load_config(args.config)
             lo, hi = _parse_range(args.span, "--range")
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
+                try:
+                    fh = open(args.out, "w", encoding="utf-8")
+                except OSError as exc:  # a directory, a missing parent, no permission
+                    raise ConfigError(f"cannot write {args.out} ({exc.strerror})") from None
+                with fh:
                     return cmd_scan(config, args.variable, lo, hi, args.points,
                                     args.log, out=fh)
             return cmd_scan(config, args.variable, lo, hi, args.points, args.log)

@@ -9,7 +9,6 @@ carries either literal indices or references to dispersion files
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +19,7 @@ from .errors import ConfigError
 from .materials import (
     DispersionModel,
     MaterialOptics,
+    _read_json_object,
     group_index,
     load_builtin_material,
     load_dispersion_model,
@@ -110,11 +110,7 @@ def _resolve_dispersion(ref, base_dir: Path, where: str) -> DispersionModel:
     if ref.startswith("builtin:"):
         return load_builtin_material(ref[len("builtin:"):])
     path = Path(ref)
-    if not path.is_absolute():
-        path = base_dir / path
-    if not path.exists():
-        raise ConfigError(f"{where}: material file {path} not found")
-    return load_dispersion_model(path)
+    return load_dispersion_model(path if path.is_absolute() else base_dir / path)
 
 
 def _indices_from_block(material: dict, lambdas: tuple, base_dir: Path) -> tuple:
@@ -124,9 +120,12 @@ def _indices_from_block(material: dict, lambdas: tuple, base_dir: Path) -> tuple
         raise ConfigError(
             "material: provide exactly one of 'indices' or 'dispersion'"
         )
+    source = "indices" if has_literal else "dispersion"
+    blk = material[source]
+    if not isinstance(blk, dict):
+        raise ConfigError(f"material.{source}: must be an object")
     lam_p, lam_1, lam_2 = lambdas
     if has_literal:
-        blk = material["indices"]
         vals = tuple(
             _get(blk, key, "material.indices")
             for key in ("n_p", "n_1", "n_2", "ng_p", "ng_1", "ng_2")
@@ -135,7 +134,6 @@ def _indices_from_block(material: dict, lambdas: tuple, base_dir: Path) -> tuple
             if v < 1.0:
                 raise ConfigError(f"material.indices.{key}: must be >= 1, got {v}")
         return vals
-    blk = material["dispersion"]
     models = {}
     for role in ("pump", "signal", "idler"):
         if role not in blk:
@@ -223,21 +221,6 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         poling_period=poling,
         run=dict(run),
     )
-
-
-def _read_json_object(path: Path, what: str) -> dict:
-    """Parse a JSON file whose top level must be an object."""
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{what} {path} not found") from None
-    except OSError as exc:  # a directory, no permission
-        raise ConfigError(f"{what} {path} cannot be read ({exc.strerror})") from None
-    except ValueError as exc:  # malformed JSON or not UTF-8
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return raw
 
 
 def load_config(path) -> ExperimentConfig:

@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -302,6 +303,21 @@ def _model_from_dict(raw: dict, source: str) -> DispersionModel:
     return model
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    """Parse a JSON file whose top level must be an object."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{what} {path} not found") from None
+    except OSError as exc:  # a directory, no permission
+        raise ConfigError(f"{what} {path} cannot be read ({exc.strerror})") from None
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be an object")
+    return raw
+
+
 def load_dispersion_model(path) -> DispersionModel:
     """Load a dispersion model from a JSON material file.
 
@@ -309,9 +325,7 @@ def load_dispersion_model(path) -> DispersionModel:
     "axis"}. Lengths in meters; coefficients in the micron convention of the
     form. Unknown form tags are rejected.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return _model_from_dict(raw, str(path))
+    return _model_from_dict(_read_json_object(Path(path), "material file"), str(path))
 
 
 def builtin_material_names() -> list:
@@ -322,12 +336,11 @@ def builtin_material_names() -> list:
 
 def load_builtin_material(name: str) -> DispersionModel:
     """Load one of the dispersion models shipped with the package."""
-    ref = resources.files("spdc").joinpath("data", f"{name}.json")
-    try:
-        raw = json.loads(ref.read_text(encoding="utf-8"))
-    except FileNotFoundError:
+    names = builtin_material_names()
+    if name not in names:
         raise ConfigError(
-            f"unknown builtin material {name!r}; available: "
-            f"{', '.join(builtin_material_names())}"
-        ) from None
+            f"unknown builtin material {name!r}; available: {', '.join(names)}"
+        )
+    ref = resources.files("spdc").joinpath("data", f"{name}.json")
+    raw = json.loads(ref.read_text(encoding="utf-8"))
     return _model_from_dict(raw, f"builtin:{name}")

@@ -4,7 +4,8 @@ Everything here is a fixed-order Gauss-Legendre rule on a panel layout the
 caller chooses, evaluated on whole arrays of nodes at once: ``complex_quad``
 for the one-off overlap integrals, which compares the order-8 and order-16
 sums over the same panels for its error estimate, ``ell_integral`` for the
-batches of axial integrals inside the brute-force rate integrals, and
+batches of axial integrals inside the brute-force rate integrals (one rule
+per call, sized by the call's largest |phi|), and
 ``panel_edges``/``panel_nodes`` for the layouts. No layout may hold more
 than ``MAX_PANELS`` panels; one that would raises before its nodes are
 built. Summation order is fixed everywhere, so results are deterministic.
@@ -86,52 +87,43 @@ def _ell_rule_size(phi_abs: float, xi_abs: float) -> int:
     return int(max(64, n))
 
 
-# geometric-ish |phi| buckets share one rule each; a phase in no bucket
-# (NaN or infinite) gets NaN
-_ELL_BUCKET_EDGES = np.array(
-    (0.0, 20.0, 50.0, 100.0, 200.0, 400.0, 700.0, 1100.0, 1600.0, math.inf)
-)
-
-
 def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     """Vectorized integral over l in [-1, 1] of exp(-i phi l / 2) / (1 + i l xi - C xi^2 l^2).
 
     This is the reduced axial factor of the Gaussian overlap integral,
-    evaluated with phi-bucketed fixed-order Gauss-Legendre rules so that
-    large batches of phase-mismatch values are cheap. Accepts scalar or
-    array ``phi``; returns complex of the same shape. NaN or infinite
-    phases give NaN; a phase or xi needing over 4000 nodes raises DomainError.
+    evaluated with one fixed-order Gauss-Legendre rule per call, sized by
+    the call's largest finite |phi|, so that large batches of
+    phase-mismatch values are cheap. Accepts scalar or array ``phi``;
+    returns complex of the same shape. NaN or infinite phases give NaN; a
+    phase or xi needing over 4000 nodes raises DomainError.
 
     With ``offsets`` (a 1-D sequence a_j), returns I(offsets[j] + phi[k])
     with shape ``(len(offsets),) + phi.shape``. The exponential factors,
-    exp(-i (a + b) l / 2) = exp(-i a l / 2) exp(-i b l / 2), so each rule
+    exp(-i (a + b) l / 2) = exp(-i a l / 2) exp(-i b l / 2), so the rule
     of n nodes costs (J + M) n exponentials and one (J x n) @ (n x M)
-    product instead of J M n exponentials. Every element a_j + b_k takes
-    the rule of its own |phi| bucket, sized by that bucket's largest
-    |phi|; a column whose elements fall in two buckets is computed with
-    both rules. The plain call is the ``offsets = [0]`` case.
+    product instead of J M n exponentials. The plain call is the
+    ``offsets = [0]`` case.
     """
     phi_arr = np.asarray(phi, dtype=float)
     a = np.zeros(1) if offsets is None else np.asarray(offsets, dtype=float).ravel()
     b = phi_arr.ravel()
-    mag = np.abs(np.add.outer(a, b))
-    bucket = np.searchsorted(_ELL_BUCKET_EDGES, mag, side="right") - 1
-    out = np.full(mag.shape, complex(math.nan, math.nan))
-    counts = np.bincount(bucket.ravel(), minlength=len(_ELL_BUCKET_EDGES))
-    # the last count is of the NaN and infinite phases
-    for i in np.flatnonzero(counts[:-1]):
-        in_bucket = bucket == i
-        n = _ell_rule_size(float(mag[in_bucket].max()), abs(xi))
+    out = np.full((a.size, b.size), complex(math.nan, math.nan))
+    finite_a, finite_b = a[np.isfinite(a)], b[np.isfinite(b)]
+    if finite_a.size and finite_b.size:
+        # a_j + b_k spans [min a + min b, max a + max b]
+        peak = max(abs(finite_a.max() + finite_b.max()),
+                   abs(finite_a.min() + finite_b.min()))
+        n = _ell_rule_size(float(peak), abs(xi))
         x, w = gauss_legendre(n)
         g = w / (1.0 + 1j * x * xi - C * (xi * xi) * (x * x))
-        rows = np.exp(-0.5j * np.outer(a, x)) * g
-        cols = np.flatnonzero(in_bucket.any(axis=0))
-        # chunk the (nodes x columns) factor and the result block to bound memory
-        block = max(1, int(2.0e6 / (n + a.size)))
-        for start in range(0, cols.size, block):
-            idx = cols[start:start + block]
-            value = rows @ np.exp(-0.5j * np.outer(x, b[idx]))
-            out[:, idx] = np.where(in_bucket[:, idx], value, out[:, idx])
+        # a NaN or infinite phase turns its row or column of the product NaN
+        with np.errstate(invalid="ignore"):
+            rows = np.exp(-0.5j * np.outer(a, x)) * g
+            # chunk the (nodes x columns) factor and the result block to bound memory
+            block = max(1, int(2.0e6 / (n + a.size)))
+            for start in range(0, b.size, block):
+                cols = slice(start, start + block)
+                out[:, cols] = rows @ np.exp(-0.5j * np.outer(x, b[cols]))
     out = out.reshape(phi_arr.shape if offsets is None else a.shape + phi_arr.shape)
     return complex(out) if out.ndim == 0 else out
 

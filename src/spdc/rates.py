@@ -22,7 +22,6 @@ power (N * P / (hbar omega_p) with P = 1 mW).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -596,54 +595,14 @@ def focus_optimize(
 ) -> tuple:
     """Maximize the closed-form rate over the equal-focusing family.
 
-    Scans the one-parameter family xi_1 = xi_2 = xi_p = xi by rescaling all
-    waists. Returns (xi_opt, rate_max) with the bracket converged to 1e-4
-    relative. A coarse pre-scan checks unimodality; if it sees multiple
-    interior maxima the search falls back to a dense scan and warns.
-
-    Note the closed-form objective saturates with focusing on this family
-    (A+B+ is constant along it), so the maximizer typically sits at the
-    upper end of ``xi_range``.
+    On the family xi_1 = xi_2 = xi_p = xi (all waists rescaled) the
+    aggregate focal parameter is xi_agg = 2 k_p xi / (k_1 + k_2 + k_p) and
+    A+B+ = 2 (k_1 + k_2 + k_p) / k_p is constant, so the rate is
+    K arctan(xi_agg), which never decreases in xi. The maximum over the
+    bracket is at its upper end: returns (hi, rate at hi).
     """
     lo, hi = xi_range
     if not (0.0 < lo < hi):
         raise DomainError(f"xi_range must satisfy 0 < lo < hi, got {xi_range}")
-
-    def rate(xi: float) -> float:
-        return pairs_closed_form(
-            material, equal_focus_beams(base_beams, xi), constants
-        ).pairs_per_s_per_mW
-
-    grid = np.geomspace(lo, hi, 33)
-    vals = np.array([rate(x) for x in grid])
-    interior_maxima = 0
-    for i in range(1, len(grid) - 1):
-        if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
-            interior_maxima += 1
-    if interior_maxima > 1:
-        warnings.warn(
-            "rate objective is not unimodal on the bracket; "
-            "falling back to a dense scan",
-            stacklevel=2,
-        )
-        dense = np.geomspace(lo, hi, 1000)
-        dvals = np.array([rate(x) for x in dense])
-        i = int(np.argmax(dvals))
-        return float(dense[i]), float(dvals[i])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c_pt = b - invphi * (b - a)
-    d_pt = a + invphi * (b - a)
-    fc, fd = rate(c_pt), rate(d_pt)
-    while (b - a) > 1e-4 * max(abs(a), abs(b)):
-        if fc > fd:
-            b, d_pt, fd = d_pt, c_pt, fc
-            c_pt = b - invphi * (b - a)
-            fc = rate(c_pt)
-        else:
-            a, c_pt, fc = c_pt, d_pt, fd
-            d_pt = a + invphi * (b - a)
-            fd = rate(d_pt)
-    xi_opt = 0.5 * (a + b)
-    return float(xi_opt), float(rate(xi_opt))
+    beams = equal_focus_beams(base_beams, hi)
+    return float(hi), pairs_closed_form(material, beams, constants).pairs_per_s_per_mW

@@ -1,15 +1,20 @@
 """Command-line interface: parsing, outputs, determinism, exit codes."""
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spdc.cli import main
+from spdc.config import ExperimentConfig, parse_config
+from spdc.errors import SpdcError
 from conftest import CONFIG_DIR
 
 PPKTP_CONFIG = CONFIG_DIR / "ppktp_type2.json"
+DISPERSION_CONFIG = CONFIG_DIR / "ppktp_type2_dispersion.json"
 TABLE_FIXTURE = CONFIG_DIR / "table1.cfg"
 
 
@@ -303,6 +308,17 @@ class TestScanCommand:
         )
         assert code == 1 and "points" in err
 
+    @pytest.mark.parametrize("target", ["directory", "missing_parent"])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, target):
+        path = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            capsys, "scan", "--config", PPKTP_CONFIG, "--variable", "Lz",
+            "--range", "0.002:0.02", "--points", "3", "--out", path,
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path} (")
+
 
 class TestConfigLoading:
     def test_dispersion_by_relative_path(self, capsys, tmp_path):
@@ -391,6 +407,66 @@ class TestConfigLoading:
         code, _, err = run_cli(capsys, "rate", "--config", cfg)
         assert code == 1
         assert "pump.shape" in err
+
+    @pytest.mark.parametrize("value", [5, None, "x", [1.8, 1.8]],
+                             ids=["number", "null", "string", "list"])
+    @pytest.mark.parametrize("key, config", [
+        ("indices", PPKTP_CONFIG), ("dispersion", DISPERSION_CONFIG),
+    ], ids=["indices", "dispersion"])
+    def test_index_source_must_be_an_object(self, capsys, tmp_path, key, config, value):
+        doc = load_json(config)
+        doc["material"][key] = value
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: material.{key}: must be an object"]
+
+    @pytest.mark.parametrize("ref", ["", "x" * 300, "builtin:\x00"],
+                             ids=["config_directory", "name_too_long", "nul_builtin"])
+    def test_unreadable_dispersion_reference_rejected(self, capsys, tmp_path, ref):
+        doc = load_json(DISPERSION_CONFIG)
+        doc["material"]["dispersion"]["pump"] = ref
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def field_paths(doc, prefix=()):
+    """Key paths of every field of a JSON object, nested objects included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+VALID_CONFIGS = [load_json(PPKTP_CONFIG), load_json(DISPERSION_CONFIG)]
+CONFIG_FIELDS = [
+    (i, path) for i, doc in enumerate(VALID_CONFIGS) for path in field_paths(doc)
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
+def test_parse_config_accepts_or_raises_spdc_error(field, value):
+    index, path = field
+    doc = copy.deepcopy(VALID_CONFIGS[index])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        result = parse_config(doc, CONFIG_DIR)
+    except SpdcError:
+        return
+    assert isinstance(result, ExperimentConfig)
 
 
 class TestTableCommand:

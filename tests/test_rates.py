@@ -633,26 +633,18 @@ class TestFocusOptimize:
         with pytest.raises(DomainError):
             focus_optimize(ppktp_material, ppktp_base_beams, xi_range=(0.0, 1.0))
 
-    def test_non_unimodal_falls_back_to_dense_scan(
-        self, ppktp_material, ppktp_base_beams, monkeypatch
+    @pytest.mark.parametrize("xi_range", [(0.01, 10.0), (0.5, 2.0), (3.0, 12.0)],
+                             ids=["0.01-10", "0.5-2", "3-12"])
+    def test_answer_is_the_top_of_the_bracket(
+        self, ppktp_material, ppktp_base_beams, xi_range
     ):
-        # a synthetic two-hump objective must trip the pre-scan and still
-        # return the global maximum
-        import spdc.rates as rates_mod
-
-        def fake_rate(material, beams, constants=CONSTANTS):
-            xi = beams.xi_p
-            val = math.exp(-((math.log10(xi) + 1.0) ** 2) * 30) \
-                + 2.0 * math.exp(-((math.log10(xi) - 0.5) ** 2) * 30)
-            return rates_mod.RateResult(val, val, xi, 4.0, "closed_form")
-
-        monkeypatch.setattr(rates_mod, "pairs_closed_form", fake_rate)
-        with pytest.warns(UserWarning, match="not unimodal"):
-            xi_opt, rate_max = rates_mod.focus_optimize(
-                ppktp_material, ppktp_base_beams, xi_range=(0.01, 10.0)
-            )
-        assert xi_opt == pytest.approx(10 ** 0.5, rel=0.01)
-        assert rate_max == pytest.approx(2.0, rel=0.01)
+        xi_opt, rate_max = focus_optimize(ppktp_material, ppktp_base_beams,
+                                          xi_range=xi_range)
+        hi = xi_range[1]
+        assert xi_opt == hi
+        assert rate_max == pairs_closed_form(
+            ppktp_material, equal_focus_beams(ppktp_base_beams, hi)
+        ).pairs_per_s_per_mW
 
 
 class TestDimensionalAudit:
