@@ -13,12 +13,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import math
 import sys
 
 import numpy as np
 
-from .config import ExperimentConfig, _number, load_config, load_table_fixture
+from .config import (
+    ExperimentConfig,
+    _number,
+    _positive,
+    load_config,
+    load_table_fixture,
+)
 from .errors import ConfigError, QuadratureError, SpdcError
 from .materials import CONSTANTS
 from .overlap import overlap_params
@@ -35,6 +43,8 @@ from .rates import (
 _FMT = "{:.11e}"  # 12 significant digits
 SCAN_VARIABLES = ("xi", "waist", "Lz", "delta_k")
 _RANGE_FLAGS = ("--range", "--xi-range")
+# points one scan may have: bounds the grid before it is allocated
+MAX_SCAN_POINTS = 1_000_000
 CSV_HEADER = "x,pairs_per_s_per_mW,xi_agg,a_plus_b_plus,status"
 
 
@@ -58,6 +68,8 @@ def cmd_rate(
         tol if tol is not None
         else _number(config.run.get("quad_tol", 1e-4), "run.quad_tol")
     )
+    if oracle or degenerate:  # checked before any line is printed
+        _positive(quad_tol, "--tol" if tol is not None else "run.quad_tol")
 
     if degenerate:
         if kappa0 is None:
@@ -94,36 +106,50 @@ def cmd_rate(
     return 0
 
 
-def _scan_point(config: ExperimentConfig, variable: str, x: float) -> tuple:
-    """(rate, xi_agg, a_plus_b_plus, status) at one scan point.
+def _scan_rows(config: ExperimentConfig, variable: str, grid: list):
+    """Yield (rate, xi_agg, a_plus_b_plus, status) for each point of ``grid``.
 
-    A step that raises leaves NaN for what it did not compute: when only
-    the delta_k suppression fails, the closed-form xi_agg and A+B+ stay.
+    What the swept variable does not touch is computed once, before the
+    first point: the material, the base beams and, for delta_k, the closed
+    form and the zero-phase axial integral, so that a delta_k point costs
+    one ``ell_integral`` call. A step that raises leaves NaN for what it did
+    not compute: when only the delta_k suppression fails, the closed-form
+    xi_agg and A+B+ stay.
     """
-    rate = xi_agg = ab = math.nan
+    nan = math.nan
+    kept = (nan, nan)  # the closed-form columns a failing row still shows
     try:
         material = config.material_optics()
-        if variable == "xi":
-            beams = equal_focus_beams(config.beam_triple(), x)
-        elif variable == "waist":
-            cfg = dataclasses.replace(config, waist_p=x, waist_1=x, waist_2=x)
-            beams = cfg.beam_triple()
-        elif variable == "Lz":
-            beams = dataclasses.replace(config, crystal_length=x).beam_triple()
-        else:
-            beams = config.beam_triple()
-        res = pairs_closed_form(material, beams, CONSTANTS)
-        xi_agg, ab = res.xi_agg, res.a_plus_b_plus
-        suppression = 1.0
+        if variable in ("xi", "delta_k"):
+            base = config.beam_triple()
         if variable == "delta_k":
-            params = overlap_params(beams, delta_k=x)
-            base = abs(ell_integral(0.0, params.xi_agg, params.C_quad)) ** 2
-            here = abs(ell_integral(params.phi, params.xi_agg, params.C_quad)) ** 2
-            suppression = here / base
-        rate = res.pairs_per_s_per_mW * suppression
+            res = pairs_closed_form(material, base, CONSTANTS)
+            kept = (res.xi_agg, res.a_plus_b_plus)
+            params = overlap_params(base)
+            zero = abs(ell_integral(0.0, params.xi_agg, params.C_quad)) ** 2
     except SpdcError as exc:
-        return rate, xi_agg, ab, type(exc).__name__
-    return rate, xi_agg, ab, "ok"
+        yield from itertools.repeat((nan, *kept, type(exc).__name__), len(grid))
+        return
+    for x in grid:
+        try:
+            if variable == "delta_k":
+                # on-axis suppression |I(phi)|^2 / |I(0)|^2 at phi = delta_k Lz
+                phi = x * base.crystal_length
+                here = abs(ell_integral(phi, params.xi_agg, params.C_quad)) ** 2
+                row = (res.pairs_per_s_per_mW * (here / zero), *kept, "ok")
+            else:
+                if variable == "xi":
+                    beams = equal_focus_beams(base, x)
+                elif variable == "waist":
+                    cfg = dataclasses.replace(config, waist_p=x, waist_1=x, waist_2=x)
+                    beams = cfg.beam_triple()
+                else:
+                    beams = dataclasses.replace(config, crystal_length=x).beam_triple()
+                point = pairs_closed_form(material, beams, CONSTANTS)
+                row = (point.pairs_per_s_per_mW, point.xi_agg, point.a_plus_b_plus, "ok")
+        except SpdcError as exc:
+            row = (nan, *kept, type(exc).__name__)
+        yield row
 
 
 def cmd_scan(
@@ -139,8 +165,10 @@ def cmd_scan(
     out = out or sys.stdout
     if variable not in SCAN_VARIABLES:
         raise ConfigError(f"scan variable {variable!r} not one of {SCAN_VARIABLES}")
-    if points < 2:
-        raise ConfigError(f"scan needs at least 2 points, got {points}")
+    if not (2 <= points <= MAX_SCAN_POINTS):
+        raise ConfigError(
+            f"scan needs 2 to {MAX_SCAN_POINTS:,} points, got {points}"
+        )
     if not (lo < hi):
         raise ConfigError(f"scan range must satisfy lo < hi, got {lo}:{hi}")
     if log_spacing and lo <= 0.0:
@@ -151,13 +179,10 @@ def cmd_scan(
     if not np.all(np.isfinite(grid)):
         raise ConfigError(f"scan range {lo}:{hi} must give finite grid points")
 
+    grid = grid.tolist()
     print(CSV_HEADER, file=out)
-    for x in grid:
-        rate, xi_agg, ab, status = _scan_point(config, variable, float(x))
-        print(
-            ",".join((_fmt(float(x)), _fmt(rate), _fmt(xi_agg), _fmt(ab), status)),
-            file=out,
-        )
+    for x, (rate, xi_agg, ab, status) in zip(grid, _scan_rows(config, variable, grid)):
+        print(",".join((_fmt(x), _fmt(rate), _fmt(xi_agg), _fmt(ab), status)), file=out)
     return 0
 
 
@@ -203,8 +228,10 @@ def cmd_optimize(config: ExperimentConfig, xi_range: tuple = None, out=None) -> 
             _number(blk.get("xi_max", 10.0), "run.optimize.xi_max"),
         )
     lo, hi = xi_range
-    if not (0.0 < lo < hi):
-        raise ConfigError(f"optimize range must satisfy 0 < lo < hi, got {lo}:{hi}")
+    if not (0.0 < lo < hi < math.inf):
+        raise ConfigError(
+            f"optimize range must satisfy 0 < lo < hi < inf, got {lo}:{hi}"
+        )
     material = config.material_optics()
     base = config.beam_triple()
     xi_opt, rate_max = focus_optimize(material, base, CONSTANTS, (lo, hi))
@@ -239,7 +266,9 @@ def _attach_ranges(argv: list) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process, as parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spdc",
         description="Absolute brightness of Gaussian-beam SPDC sources.",

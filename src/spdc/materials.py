@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -334,8 +335,13 @@ def builtin_material_names() -> list:
     return sorted(p.name[: -len(".json")] for p in pkg.iterdir() if p.name.endswith(".json"))
 
 
+@lru_cache(maxsize=None)
 def load_builtin_material(name: str) -> DispersionModel:
-    """Load one of the dispersion models shipped with the package."""
+    """Load one of the dispersion models shipped with the package.
+
+    Each model is read and checked once per process; later calls return the
+    same frozen object. An unknown name raises on every call.
+    """
     names = builtin_material_names()
     if name not in names:
         raise ConfigError(

@@ -422,8 +422,11 @@ def pairs_degenerate_numeric(
     degenerate point (s^2/m). The default phi window is the linear-model
     one, which is conservative here because the tail decays faster in dwm.
     """
-    if gvd_kappa0 == 0.0:
-        raise DomainError("gvd_kappa0 must be nonzero for the degenerate path")
+    if not (math.isfinite(gvd_kappa0) and gvd_kappa0 != 0.0):
+        raise DomainError(
+            f"gvd_kappa0 must be finite and nonzero for the degenerate path, "
+            f"got {gvd_kappa0}"
+        )
     Lz = beams.crystal_length
     coeff_p, _ = phase_mismatch_coefficients(
         material.ng_p, material.ng_1, material.ng_2, Lz, constants.c
@@ -602,7 +605,7 @@ def focus_optimize(
     bracket is at its upper end: returns (hi, rate at hi).
     """
     lo, hi = xi_range
-    if not (0.0 < lo < hi):
-        raise DomainError(f"xi_range must satisfy 0 < lo < hi, got {xi_range}")
+    if not (0.0 < lo < hi < math.inf):
+        raise DomainError(f"xi_range must satisfy 0 < lo < hi < inf, got {xi_range}")
     beams = equal_focus_beams(base_beams, hi)
     return float(hi), pairs_closed_form(material, beams, constants).pairs_per_s_per_mW

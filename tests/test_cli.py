@@ -1,17 +1,25 @@
 """Command-line interface: parsing, outputs, determinism, exit codes."""
 
 import copy
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdc.cli import main
-from spdc.config import ExperimentConfig, parse_config
+from spdc.cli import MAX_SCAN_POINTS, build_parser, main
+from spdc.config import ExperimentConfig, load_config, parse_config
 from spdc.errors import SpdcError
-from conftest import CONFIG_DIR
+from spdc.materials import CONSTANTS
+from spdc.overlap import overlap_params
+from spdc.quadrature import ell_integral
+from spdc.rates import equal_focus_beams, pairs_closed_form
+from conftest import CONFIG_DIR, REPO_ROOT
 
 PPKTP_CONFIG = CONFIG_DIR / "ppktp_type2.json"
 DISPERSION_CONFIG = CONFIG_DIR / "ppktp_type2_dispersion.json"
@@ -124,6 +132,37 @@ class TestRateCommand:
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: run.quad_tol:")
+
+    @pytest.mark.parametrize("mode", [["--oracle"], ["--degenerate", "--kappa0", "1e-25"]],
+                             ids=["oracle", "degenerate"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_tol_flag_is_validation_error(self, capsys, mode, value):
+        code, out, err = run_cli(capsys, "rate", "--config", PPKTP_CONFIG, *mode,
+                                 f"--tol={value}")
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --tol:")
+
+    @pytest.mark.parametrize("mode", [["--oracle"], ["--degenerate", "--kappa0", "1e-25"]],
+                             ids=["oracle", "degenerate"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_bad_quad_tol_config_is_validation_error(self, capsys, tmp_path, mode, value):
+        doc = load_json(PPKTP_CONFIG)
+        doc["run"]["quad_tol"] = value
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg, *mode)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: run.quad_tol:")
+
+    @pytest.mark.parametrize("kappa0", ["nan", "inf", "-inf"])
+    def test_non_finite_kappa0_rejected(self, capsys, kappa0):
+        code, out, err = run_cli(capsys, "rate", "--config", PPKTP_CONFIG,
+                                 "--degenerate", f"--kappa0={kappa0}")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: gvd_kappa0 must be finite and nonzero")
 
     def test_underflowing_waist_is_domain_error(self, capsys, tmp_path):
         # k w0^2 underflows to 0: no Rayleigh range, no focal parameter
@@ -308,6 +347,16 @@ class TestScanCommand:
         )
         assert code == 1 and "points" in err
 
+    @pytest.mark.parametrize("points", [MAX_SCAN_POINTS + 1, 100_000_000_000])
+    def test_points_above_cap_rejected(self, capsys, points):
+        code, out, err = run_cli(
+            capsys, "scan", "--config", PPKTP_CONFIG,
+            "--variable", "xi", "--range", "1:2", "--points", points,
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: scan needs 2 to")
+
     @pytest.mark.parametrize("target", ["directory", "missing_parent"])
     def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, target):
         path = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
@@ -318,6 +367,92 @@ class TestScanCommand:
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {path} (")
+
+
+def library_row(config, variable, x):
+    """A scan row from library calls at this one point, as the CLI prints it."""
+    rate = xi_agg = ab = math.nan
+    status = "ok"
+    try:
+        material = config.material_optics()
+        if variable == "xi":
+            beams = equal_focus_beams(config.beam_triple(), x)
+        elif variable == "waist":
+            beams = dataclasses.replace(config, waist_p=x, waist_1=x, waist_2=x).beam_triple()
+        elif variable == "Lz":
+            beams = dataclasses.replace(config, crystal_length=x).beam_triple()
+        else:
+            beams = config.beam_triple()
+        res = pairs_closed_form(material, beams, CONSTANTS)
+        xi_agg, ab = res.xi_agg, res.a_plus_b_plus
+        rate = res.pairs_per_s_per_mW
+        if variable == "delta_k":
+            p = overlap_params(beams, delta_k=x)
+            here = abs(ell_integral(p.phi, p.xi_agg, p.C_quad)) ** 2
+            rate *= here / abs(ell_integral(0.0, p.xi_agg, p.C_quad)) ** 2
+    except SpdcError as exc:
+        rate, status = math.nan, type(exc).__name__
+    return ",".join(["{:.11e}".format(v) for v in (x, rate, xi_agg, ab)] + [status])
+
+
+class TestScanRowsMatchLibrary:
+    """Each row equals the library evaluated at that point alone, to every printed digit."""
+
+    @pytest.mark.parametrize("config_path", [PPKTP_CONFIG, DISPERSION_CONFIG],
+                             ids=["literal", "dispersion"])
+    @pytest.mark.parametrize("variable, lo, hi, points, log, statuses", [
+        ("xi", 0.05, 10.0, 11, True, {"ok"}),
+        ("xi", -1.0, 5.0, 7, False, {"ok", "DomainError"}),
+        ("waist", 8e-6, 2e-4, 9, False, {"ok"}),
+        ("Lz", 1e-3, 4e-2, 9, True, {"ok"}),
+        ("delta_k", -2000.0, 2000.0, 21, False, {"ok"}),
+        # |phi| = 1e4 at both ends is past the axial rule's cap
+        ("delta_k", -1e6, 1e6, 3, False, {"ok", "DomainError"}),
+        ("delta_k", 1e307, 1e308, 3, False, {"DomainError"}),
+    ], ids=["xi_log", "xi_failing", "waist", "Lz_log", "delta_k", "delta_k_mixed",
+            "delta_k_failing"])
+    def test_rows_equal_per_point_library_calls(self, capsys, config_path, variable,
+                                                lo, hi, points, log, statuses):
+        args = ["scan", "--config", config_path, "--variable", variable,
+                f"--range={lo!r}:{hi!r}", "--points", points]
+        code, out, err = run_cli(capsys, *args, *(["--log"] if log else []))
+        assert code == 0 and err == ""
+        config = load_config(config_path)
+        grid = np.geomspace(lo, hi, points) if log else np.linspace(lo, hi, points)
+        rows = out.splitlines()[1:]
+        assert rows == [library_row(config, variable, x) for x in grid.tolist()]
+        assert {r.rsplit(",", 1)[1] for r in rows} == statuses
+        if variable == "delta_k":  # a failing row keeps the closed-form columns
+            assert all("nan" not in r.split(",")[2:4] for r in rows)
+
+
+class TestRepeatedCalls:
+    """Calls in one process leave nothing behind for the next."""
+
+    SCAN = ("scan", "--config", PPKTP_CONFIG, "--variable", "xi",
+            "--range", "0.1:5", "--points", "7")
+    RATE = ("rate", "--config", PPKTP_CONFIG)
+
+    @staticmethod
+    def fresh(*args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-m", "spdc.cli", *map(str, args)],
+                              capture_output=True, text=True, env=env, check=False)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.parametrize("first, second", [
+        (SCAN + ("--log",), SCAN),
+        (RATE + ("--oracle",), RATE),
+    ], ids=["scan_log_then_linear", "rate_oracle_then_plain"])
+    def test_second_call_matches_a_fresh_process(self, capsys, first, second):
+        got = [run_cli(capsys, *first), run_cli(capsys, *second)]
+        assert got == [self.fresh(*first), self.fresh(*second)]
+        assert got[0][1] != got[1][1]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestConfigLoading:
@@ -574,6 +709,15 @@ class TestOptimizeCommand:
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and "0 < lo < hi" in lines[0]
+
+    @pytest.mark.parametrize("span", ["0.1:inf", "0.1:nan"])
+    def test_non_finite_bracket_rejected(self, capsys, span):
+        code, out, err = run_cli(
+            capsys, "optimize", "--config", PPKTP_CONFIG, f"--xi-range={span}",
+        )
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: optimize range")
 
     def test_inverted_range_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -251,3 +251,11 @@ class TestLoader:
         for model in models_under_test():
             lo, hi = model.valid_range
             assert refractive_index(model, 0.5 * (lo + hi)) >= 1.0
+
+    def test_builtin_model_is_read_once(self):
+        assert load_builtin_material("ktp_y") is load_builtin_material("ktp_y")
+
+    def test_unknown_builtin_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ConfigError, match="unknown builtin material"):
+                load_builtin_material("no_such_crystal")

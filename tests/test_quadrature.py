@@ -65,10 +65,14 @@ class TestOffsets:
         assert ell_integral(np.zeros(0), 1.0, offsets=[1.0, 2.0]).shape == (2, 0)
 
     def test_plain_call_is_the_zero_offset_row(self):
-        b = phase_grid("linear")
-        assert np.array_equal(
-            ell_integral(b, 1.0), ell_integral(b, 1.0, offsets=[0.0])[0]
-        )
+        # bit for bit, for a whole grid and for single phases
+        b = np.append(phase_grid("linear"), math.nan)
+        for xi, C in ((1.0, 0.0), (0.3, 1e-3), (8.0, 0.05)):
+            row = ell_integral(b, xi, C, offsets=[0.0])[0]
+            assert ell_integral(b, xi, C).tobytes() == row.tobytes()
+            for phi in (0.0, 3.7, -250.0, math.nan):
+                row = ell_integral(np.array([phi]), xi, C, offsets=[0.0])
+                assert np.array(ell_integral(phi, xi, C)).tobytes() == row.tobytes()
 
     def test_matches_adaptive_reference(self):
         for phi in (0.0, 7.0, -55.0, 430.0, 1650.0):

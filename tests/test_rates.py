@@ -582,6 +582,11 @@ class TestCollimatedLimit:
 
 
 class TestFocusOptimize:
+    @pytest.mark.parametrize("hi", [math.inf, math.nan])
+    def test_bracket_must_be_finite(self, ppktp_material, ppktp_base_beams, hi):
+        with pytest.raises(DomainError, match="xi_range"):
+            focus_optimize(ppktp_material, ppktp_base_beams, xi_range=(0.1, hi))
+
     def test_limits_and_boundary_argmax(self, ppktp_material, ppktp_base_beams):
         lo, hi = 0.01, 10.0
         xi_opt, rate_max = focus_optimize(ppktp_material, ppktp_base_beams,
@@ -693,3 +698,11 @@ class TestNanInputs:
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
                 call()
+
+    @pytest.mark.parametrize("kappa0", [NAN, math.inf, -math.inf])
+    def test_non_finite_kappa0_raises_domain_error(
+        self, ppktp_material, ppktp_base_beams, narrowband_pump, kappa0
+    ):
+        with pytest.raises(DomainError, match="gvd_kappa0 must be finite and nonzero"):
+            pairs_degenerate_numeric(ppktp_material, ppktp_base_beams,
+                                     narrowband_pump, kappa0)
