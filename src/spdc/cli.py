@@ -20,13 +20,7 @@ import sys
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    _number,
-    _positive,
-    load_config,
-    load_table_fixture,
-)
+from .config import ExperimentConfig, load_config, load_table_fixture
 from .errors import ConfigError, QuadratureError, SpdcError
 from .materials import CONSTANTS
 from .overlap import overlap_params
@@ -64,12 +58,7 @@ def cmd_rate(
     out = out or sys.stdout
     material = config.material_optics()
     beams = config.beam_triple()
-    quad_tol = (
-        tol if tol is not None
-        else _number(config.run.get("quad_tol", 1e-4), "run.quad_tol")
-    )
-    if oracle or degenerate:  # checked before any line is printed
-        _positive(quad_tol, "--tol" if tol is not None else "run.quad_tol")
+    quad_tol = config.quad_tol if tol is None else tol
 
     if degenerate:
         if kappa0 is None:
@@ -219,15 +208,7 @@ def cmd_table(rows: list, out=None) -> int:
 def cmd_optimize(config: ExperimentConfig, xi_range: tuple = None, out=None) -> int:
     """Search the equal-focusing family for the rate maximum."""
     out = out or sys.stdout
-    if xi_range is None:
-        blk = config.run.get("optimize", {})
-        if not isinstance(blk, dict):
-            raise ConfigError("run.optimize: must be an object")
-        xi_range = (
-            _number(blk.get("xi_min", 0.01), "run.optimize.xi_min"),
-            _number(blk.get("xi_max", 10.0), "run.optimize.xi_max"),
-        )
-    lo, hi = xi_range
+    lo, hi = config.xi_range if xi_range is None else xi_range
     if not (0.0 < lo < hi < math.inf):
         raise ConfigError(
             f"optimize range must satisfy 0 < lo < hi < inf, got {lo}:{hi}"
@@ -255,6 +236,28 @@ def _parse_range(text: str, flag: str) -> tuple:
     return lo, hi
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a usage error as ConfigError (exit 1), not exit 2.
+
+    argparse words its messages "argument --x: ..."; the prefix goes, so
+    they read like the package's own "--x: ..." ones.
+    """
+
+    def error(self, message):
+        raise ConfigError(message.removeprefix("argument "))
+
+
 def _attach_ranges(argv: list) -> list:
     """Rewrite ``--range -2:2`` (argparse takes -2:2 for an option) as ``--range=-2:2``."""
     out = []
@@ -269,7 +272,7 @@ def _attach_ranges(argv: list) -> list:
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser; built once per process, as parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spdc",
         description="Absolute brightness of Gaussian-beam SPDC sources.",
     )
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--config", required=True)
     p_rate.add_argument("--oracle", action="store_true",
                         help="also run the brute-force oracle and report the deviation")
-    p_rate.add_argument("--tol", type=float, default=None,
+    p_rate.add_argument("--tol", type=_tolerance, default=None,
                         help="quadrature tolerance for the oracle")
     p_rate.add_argument("--degenerate", action="store_true",
                         help="use the quadratic phase-matching numeric path")
@@ -307,10 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_ranges(argv))
     try:
+        args = build_parser().parse_args(_attach_ranges(argv))
         if args.command == "rate":
             config = load_config(args.config)
             return cmd_rate(

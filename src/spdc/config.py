@@ -67,7 +67,9 @@ class ExperimentConfig:
     ``indices`` holds (n_p, n_1, n_2, ng_p, ng_1, ng_2) either given
     literally or evaluated from dispersion files at the band centers. The
     phase indices and the crystal length go to ``beam_triple``, the group
-    indices to ``material_optics``.
+    indices to ``material_optics``. ``quad_tol`` (the oracles' tolerance)
+    and ``xi_range`` (the ``optimize`` bracket) come from the ``run``
+    block, which ``run`` keeps as given.
     """
 
     lambda_p: float
@@ -81,6 +83,8 @@ class ExperimentConfig:
     indices: tuple
     pump_bandwidth: float
     poling_period: Optional[float] = None
+    quad_tol: float = 1e-4
+    xi_range: tuple = (0.01, 10.0)
     run: dict = field(default_factory=dict)
 
     def material_optics(self) -> MaterialOptics:
@@ -162,6 +166,17 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     run = raw.get("run", {})
     if not isinstance(run, dict):
         raise ConfigError("run: must be an object")
+    quad_tol = _positive(
+        _number(run.get("quad_tol", ExperimentConfig.quad_tol), "run.quad_tol"),
+        "run.quad_tol",
+    )
+    optimize = run.get("optimize", {})
+    if not isinstance(optimize, dict):
+        raise ConfigError("run.optimize: must be an object")
+    xi_range = tuple(
+        _number(optimize.get(key, default), f"run.optimize.{key}")
+        for key, default in zip(("xi_min", "xi_max"), ExperimentConfig.xi_range)
+    )
 
     lam_p = _positive(_get(beams, "lambda_p_m", "beams"), "beams.lambda_p_m")
     lam_1 = _positive(_get(beams, "lambda_1_m", "beams"), "beams.lambda_1_m")
@@ -219,6 +234,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         indices=indices,
         pump_bandwidth=bandwidth,
         poling_period=poling,
+        quad_tol=quad_tol,
+        xi_range=xi_range,
         run=dict(run),
     )
 

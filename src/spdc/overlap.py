@@ -147,33 +147,18 @@ def phase_mismatch_coefficients(ng_p, ng_1, ng_2, Lz, c) -> tuple:
     )
 
 
-def phase_mismatch_phi(
-    delta_omega_pump: float,
-    delta_omega_minus: float,
-    ng_p: float,
-    ng_1: float,
-    ng_2: float,
-    Lz: float,
-    c: float,
-    qpm_shift: float = 0.0,
-):
-    """First-order phase mismatch phi = dk * Lz around the matched band center.
-
-    delta_omega_pump is the sum detuning (w1 - w10) + (w2 - w20) and
-    delta_omega_minus the difference detuning (w1 - w10) - (w2 - w20), both
-    rad/s. ``qpm_shift`` adds any residual mismatch at band center (0 for
-    perfect quasi-phase matching). Accepts arrays.
-    """
-    coeff_sum, coeff_diff = phase_mismatch_coefficients(ng_p, ng_1, ng_2, Lz, c)
-    return (
-        coeff_sum * np.asarray(delta_omega_pump)
-        + coeff_diff * np.asarray(delta_omega_minus)
-        + qpm_shift
-    )
-
-
 def overlap_params(beams: BeamTriple, delta_k: float = 0.0) -> OverlapParams:
-    """Bundle the aggregate parameters for a beam triple at mismatch delta_k."""
+    """Bundle the aggregate parameters for a beam triple at mismatch delta_k.
+
+    The reduction behind them puts every focus at the crystal centre, so a
+    displaced focus raises; ``overlap_direct`` takes any ``z0``.
+    """
+    z0s = (beams.pump.z0, beams.signal.z0, beams.idler.z0)
+    if any(z0s):
+        raise DomainError(
+            f"the reduced overlap needs every focus at the crystal centre, got "
+            f"z0 = {z0s} m (pump, signal, idler); use overlap_direct"
+        )
     k_p, k_1, k_2 = beams.wavevectors()
     xi_p, xi_1, xi_2 = beams.xi_p, beams.xi_1, beams.xi_2
     Lz = beams.crystal_length

@@ -31,12 +31,7 @@ import numpy as np
 from .beams import BeamTriple, GaussianMode
 from .errors import DegenerateDispersionError, DomainError, QuadratureError
 from .materials import CONSTANTS, MaterialOptics, PhysicalConstants
-from .overlap import (
-    overlap_params,
-    overlap_prefactor,
-    phase_mismatch_coefficients,
-    phase_mismatch_phi,
-)
+from .overlap import overlap_params, overlap_prefactor, phase_mismatch_coefficients
 from .quadrature import ell_integral, panel_nodes
 
 _MILLIWATT = 1e-3
@@ -258,14 +253,13 @@ def _bruteforce_rate(
     coeff_m: float,
     power: int,
     phi_halfwidth: Optional[float],
-    qpm_shift: float,
     diag: dict,
 ) -> RateResult:
     """Integrate |psi|^2 of the joint spectral amplitude over both detunings.
 
-    The phase mismatch is phi = coeff_p dwp + coeff_m dwm^power + qpm_shift
-    in the sum (dwp) and difference (dwm) detunings: power 1 is linear
-    phase matching, power 2 the degenerate quadratic one. The pump axis is
+    The phase mismatch is phi = coeff_p dwp + coeff_m dwm^power in the sum
+    (dwp) and difference (dwm) detunings: power 1 is linear phase
+    matching, power 2 the degenerate quadratic one. The pump axis is
     a Gauss-Hermite rule for the Gaussian pump density and the dwm axis
     Gauss-Legendre panels over the phi window; a pass with half the pump
     nodes and half as many dwm panels gives the refinement estimate. The
@@ -292,7 +286,7 @@ def _bruteforce_rate(
         x, x_w = _pump_rule(pump_order)
         dwm, dwm_w = panel_nodes(dwm_edges, 8)
         axial = ell_integral(
-            coeff_m * dwm ** power, xi, C, offsets=coeff_p * sigma * x + qpm_shift,
+            coeff_m * dwm ** power, xi, C, offsets=coeff_p * sigma * x,
         )
         passes[name] = {
             "pump_rule_order": pump_order,
@@ -377,7 +371,6 @@ def pairs_via_bruteforce(
     quad_tol: float = 1e-4,
     *,
     phi_halfwidth: Optional[float] = None,
-    qpm_shift: float = 0.0,
 ) -> RateResult:
     """Pair probability by 2-D quadrature of the frequency-space integral.
 
@@ -398,7 +391,7 @@ def pairs_via_bruteforce(
     )
     return _bruteforce_rate(
         material, beams, pump, constants, quad_tol,
-        coeff_p, coeff_m, 1, phi_halfwidth, qpm_shift, {},
+        coeff_p, coeff_m, 1, phi_halfwidth, {},
     )
 
 
@@ -411,7 +404,6 @@ def pairs_degenerate_numeric(
     quad_tol: float = 1e-4,
     *,
     phi_halfwidth: Optional[float] = None,
-    qpm_shift: float = 0.0,
 ) -> RateResult:
     """Pair probability for quadratic (degenerate type-0/I) phase matching.
 
@@ -433,8 +425,7 @@ def pairs_degenerate_numeric(
     )
     return _bruteforce_rate(
         material, beams, pump, constants, quad_tol,
-        coeff_p, 0.25 * gvd_kappa0 * Lz, 2, phi_halfwidth, qpm_shift,
-        {"gvd_kappa0": gvd_kappa0},
+        coeff_p, 0.25 * gvd_kappa0 * Lz, 2, phi_halfwidth, {"gvd_kappa0": gvd_kappa0},
     )
 
 
@@ -454,10 +445,10 @@ def overlap_value(
     params = overlap_params(beams)
     d1 = np.asarray(omega1) - _angular_frequency(beams.signal.lambda_vac, constants)
     d2 = np.asarray(omega2) - _angular_frequency(beams.idler.lambda_vac, constants)
-    phi = phase_mismatch_phi(
-        d1 + d2, d1 - d2, material.ng_p, material.ng_1, material.ng_2,
-        beams.crystal_length, constants.c,
+    coeff_p, coeff_m = phase_mismatch_coefficients(
+        material.ng_p, material.ng_1, material.ng_2, beams.crystal_length, constants.c,
     )
+    phi = coeff_p * (d1 + d2) + coeff_m * (d1 - d2)
     pref = overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
     return pref * ell_integral(phi, params.xi_agg, params.C_quad)
 

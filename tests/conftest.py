@@ -10,7 +10,9 @@ import pathlib
 
 import pytest
 
-from spdc import BeamTriple, GaussianMode, MaterialOptics, PumpSpec
+from spdc.beams import BeamTriple, GaussianMode
+from spdc.materials import MaterialOptics
+from spdc.rates import PumpSpec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"

@@ -14,26 +14,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spdc import (
-    BeamTriple,
-    GaussianMode,
-    MaterialOptics,
-    PumpSpec,
+from spdc.beams import BeamTriple, GaussianMode
+from spdc.config import load_table_fixture
+from spdc.materials import MaterialOptics, group_index, load_builtin_material, refractive_index
+from spdc.overlap import (
     a_plus_b_plus,
     aggregate_focal_parameter,
-    bennink_ratio,
-    collimated_limit_rates,
-    equal_focus_beams,
-    group_index,
-    load_builtin_material,
-    load_table_fixture,
     overlap_direct,
     overlap_params,
     overlap_simplified,
+    quadratic_coefficient,
+)
+from spdc.rates import (
+    bennink_ratio,
+    collimated_limit_rates,
+    equal_focus_beams,
     pairs_closed_form,
     pairs_via_bruteforce,
-    quadratic_coefficient,
-    refractive_index,
     tutorial_correction_factor,
 )
 from spdc.cli import cmd_table

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from spdc import BeamTriple, GaussianMode, focal_parameter, mode_function, scaled_beam_parameter
+from spdc.beams import (
+    BeamTriple,
+    GaussianMode,
+    focal_parameter,
+    mode_function,
+    scaled_beam_parameter,
+)
 from spdc.errors import DomainError
 from spdc.quadrature import gauss_legendre
 

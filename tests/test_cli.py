@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -133,9 +134,10 @@ class TestRateCommand:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: run.quad_tol:")
 
-    @pytest.mark.parametrize("mode", [["--oracle"], ["--degenerate", "--kappa0", "1e-25"]],
-                             ids=["oracle", "degenerate"])
-    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    # --tol is checked when parsed, whether or not an oracle reads it
+    @pytest.mark.parametrize("mode", [["--oracle"], ["--degenerate", "--kappa0", "1e-25"], []],
+                             ids=["oracle", "degenerate", "plain"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "abc"])
     def test_bad_tol_flag_is_validation_error(self, capsys, mode, value):
         code, out, err = run_cli(capsys, "rate", "--config", PPKTP_CONFIG, *mode,
                                  f"--tol={value}")
@@ -154,6 +156,26 @@ class TestRateCommand:
         assert code == 1 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: run.quad_tol:")
+
+    @pytest.mark.parametrize("command", [
+        ("rate",),
+        ("scan", "--variable", "xi", "--range", "0.5:2", "--points", "3"),
+        ("optimize",),
+    ], ids=["rate", "scan", "optimize"])
+    @pytest.mark.parametrize("run, where", [
+        ({"quad_tol": "abc"}, "run.quad_tol"),
+        ({"quad_tol": 0.0}, "run.quad_tol"),
+        ({"optimize": {"xi_max": "x"}}, "run.optimize.xi_max"),
+        ({"optimize": []}, "run.optimize"),
+    ], ids=["quad_tol_text", "quad_tol_zero", "xi_max_text", "optimize_list"])
+    def test_bad_run_block_fails_every_command(self, capsys, tmp_path, command, run, where):
+        doc = load_json(PPKTP_CONFIG)
+        doc["run"] = run
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, *command, "--config", cfg)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {where}:")
 
     @pytest.mark.parametrize("kappa0", ["nan", "inf", "-inf"])
     def test_non_finite_kappa0_rejected(self, capsys, kappa0):
@@ -453,6 +475,42 @@ class TestRepeatedCalls:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+
+def test_package_exports_entry_points_only():
+    import spdc
+
+    public = {name for name, value in vars(spdc).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(spdc.__all__) and len(public) <= 8
+    assert isinstance(spdc.load_config(PPKTP_CONFIG), ExperimentConfig)
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1 with one error line, as validation errors do."""
+
+    @pytest.mark.parametrize("args, message", [
+        (("scan", "--config", PPKTP_CONFIG, "--variable", "xi", "--range", "1:2",
+          "--points", "abc"), "error: --points: invalid int value: 'abc'"),
+        (("rate",), "error: the following arguments are required: --config"),
+        (("optimize", "--xi-range", "1:2"),
+         "error: the following arguments are required: --config"),
+        ((), "error: the following arguments are required: command"),
+        (("rate", "--config", PPKTP_CONFIG, "--bogus"),
+         "error: unrecognized arguments: --bogus"),
+    ], ids=["bad_points", "rate_without_config", "optimize_without_config",
+            "no_command", "unknown_flag"])
+    def test_usage_error_exits_1(self, capsys, args, message):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [message]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["rate", "--help"])
+        captured = capsys.readouterr()
+        assert info.value.code == 0 and captured.err == ""
+        assert "--tol" in captured.out
 
 
 class TestConfigLoading:

@@ -1,5 +1,6 @@
 """Aggregate overlap parameters and the two overlap-integral routes."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -13,29 +14,28 @@ from scipy.integrate import quad
 
 import spdc
 
-from spdc import (
-    BeamTriple,
-    GaussianMode,
-    MaterialOptics,
-    OverlapParams,
-    a_plus_b_plus,
-    aggregate_focal_parameter,
-    normalization_coefficient,
-    overlap_direct,
-    overlap_params,
-    overlap_simplified,
-    phase_mismatch_phi,
-    quadratic_coefficient,
-)
-from spdc.beams import scaled_beam_parameter
+from spdc.beams import BeamTriple, GaussianMode, scaled_beam_parameter
 from spdc.errors import (
     DegenerateConfigurationError,
     DomainError,
     OverlapSingularityError,
     QuadratureError,
 )
-from spdc.materials import CONSTANTS, domain_walls, poling_profile
-from spdc.quadrature import MAX_PANELS
+from spdc.materials import CONSTANTS, MaterialOptics, domain_walls, poling_profile
+from spdc.overlap import (
+    OverlapParams,
+    a_plus_b_plus,
+    aggregate_focal_parameter,
+    normalization_coefficient,
+    overlap_direct,
+    overlap_params,
+    overlap_prefactor,
+    overlap_simplified,
+    phase_mismatch_coefficients,
+    quadratic_coefficient,
+)
+from spdc.quadrature import MAX_PANELS, ell_integral
+from spdc.rates import equal_focus_beams, overlap_value, pairs_closed_form
 
 
 def random_inputs(rng):
@@ -224,27 +224,30 @@ class TestAPlusBPlus:
 
 class TestPhaseMismatch:
     def test_band_center(self):
-        assert phase_mismatch_phi(0.0, 0.0, 1.8, 1.76, 1.85, 1e-2, CONSTANTS.c) == 0.0
+        # overlap_value at the band centres is the phi = 0 axial integral
+        beams = equal_focus_triple(1e-2, 1.0)
+        material = MaterialOptics(1.8, 1.76, 1.85, 2.4e-12)
+        w10, w20 = (2.0 * math.pi * CONSTANTS.c / m.lambda_vac
+                    for m in (beams.signal, beams.idler))
+        params = overlap_params(beams)
+        want = overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm) \
+            * ell_integral(0.0, params.xi_agg, params.C_quad)
+        assert overlap_value(w10, w20, material, beams) == want
 
     def test_narrowband_pump_linear_in_difference(self):
         ng1, ng2, ngp = 1.76, 1.85, 1.80
         Lz, c = 1e-2, CONSTANTS.c
         dwm = 3.7e11
-        phi = phase_mismatch_phi(0.0, dwm, ngp, ng1, ng2, Lz, c)
+        coeff_p, coeff_m = phase_mismatch_coefficients(ngp, ng1, ng2, Lz, c)
+        phi = coeff_p * 0.0 + coeff_m * dwm
         assert phi == pytest.approx((ng1 - ng2) / (2 * c) * dwm * Lz, rel=1e-14)
-        assert phase_mismatch_phi(0.0, 2 * dwm, ngp, ng1, ng2, Lz, c) == pytest.approx(
-            2 * phi, rel=1e-14
-        )
+        assert coeff_p * 0.0 + coeff_m * (2 * dwm) == pytest.approx(2 * phi, rel=1e-14)
 
     def test_degenerate_group_indices_flat(self):
         ng = 1.8
+        coeff_p, coeff_m = phase_mismatch_coefficients(1.9, ng, ng, 1e-2, CONSTANTS.c)
         for dwm in (0.0, 1e11, -3e12):
-            assert phase_mismatch_phi(0.0, dwm, 1.9, ng, ng, 1e-2, CONSTANTS.c) == 0.0
-
-    def test_qpm_shift_offset(self):
-        phi = phase_mismatch_phi(0.0, 0.0, 1.8, 1.76, 1.85, 1e-2, CONSTANTS.c,
-                                 qpm_shift=0.25)
-        assert phi == 0.25
+            assert coeff_p * 0.0 + coeff_m * dwm == 0.0
 
 
 class TestOverlapSimplified:
@@ -430,6 +433,13 @@ class TestOverlapDirect:
         assert abs(peak - dk0) <= step
 
 
+def displace(beams, roles, z0):
+    """``beams`` with the foci of the named modes moved to ``z0``."""
+    return dataclasses.replace(beams, **{
+        role: dataclasses.replace(getattr(beams, role), z0=z0) for role in roles
+    })
+
+
 class TestOverlapParamsBundle:
     def test_fields_consistent(self, ppktp_base_beams):
         dk = 123.0
@@ -440,13 +450,31 @@ class TestOverlapParamsBundle:
         assert p.phi == dk * ppktp_base_beams.crystal_length
         assert p.D_norm > 0
 
+    @pytest.mark.parametrize("shifted", [("pump", "signal", "idler"), ("idler",)])
+    def test_displaced_focus_rejected(self, ppktp_material, ppktp_base_beams, shifted):
+        beams = displace(equal_focus_beams(ppktp_base_beams, 1.0), shifted, 3e-3)
+        with pytest.raises(DomainError, match="z0"):
+            overlap_params(beams)
+        with pytest.raises(DomainError, match="z0"):
+            pairs_closed_form(ppktp_material, beams)
+
+    def test_displaced_foci_lower_the_direct_overlap(self, ppktp_material, ppktp_base_beams):
+        # foci 3 mm off-centre in a 1 cm crystal at xi = 1: |O| drops to
+        # 0.956 of the centred value, which the reduced form cannot see
+        centred = equal_focus_beams(ppktp_base_beams, 1.0)
+        displaced = displace(centred, ("pump", "signal", "idler"), 3e-3)
+        ratio = (abs(overlap_direct(displaced, ppktp_material, 0.0))
+                 / abs(overlap_direct(centred, ppktp_material, 0.0)))
+        assert ratio == pytest.approx(0.9558, abs=1e-3)
+
 
 def test_overlaps_import_no_scipy():
     # scipy is a test-side reference only; the package integrates without it
     code = """
 import math, sys
-from spdc import (BeamTriple, GaussianMode, MaterialOptics, overlap_direct,
-                  overlap_params, overlap_simplified)
+from spdc.beams import BeamTriple, GaussianMode
+from spdc.materials import MaterialOptics
+from spdc.overlap import overlap_direct, overlap_params, overlap_simplified
 modes = [GaussianMode(lam, 1.8, 30e-6) for lam in (775e-9, 1550e-9, 1550e-9)]
 beams = BeamTriple(*modes, crystal_length=1e-2)
 material = MaterialOptics(1.85, 1.84, 1.86, 2.4e-12, poling_period=10e-6)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from spdc import quadrature
 from spdc.errors import DomainError, QuadratureError
@@ -105,23 +106,40 @@ class TestNonFinitePhase:
             assert got[1, 1] == pytest.approx(ell_integral(41.0, 1.0), rel=1e-14)
 
 
+def scaled_exp1(z):
+    """e^z E1(z): scipy's ``exp1`` for |z| < 20, above that (where e^z
+    overflows first) the continued fraction of A&S 5.1.22, 60 terms deep."""
+    if abs(z) < 20.0:
+        return np.exp(z) * exp1(z)
+    tail = 0.0
+    for k in range(60, 0, -1):
+        tail = k / (1.0 + k / (z + tail))
+    return 1.0 / (z + tail)
+
+
+def ell_integral_exact(phi, xi):
+    """The C = 0 axial integral in closed form, I = J(a, r) / (i xi).
+
+    With a = phi / 2 and the pole r = i / xi,
+    J = integral of exp(-i a l) / (l - r) over [-1, 1]
+      = e^(ia) G(ia(-1 - r)) - e^(-ia) G(ia(1 - r)), G(z) = e^z E1(z),
+    less 2 pi i sign(a) e^(-iar) when the path crosses E1's branch cut
+    (a Im r < 0 and |Re r| < 1).
+    """
+    a, r = 0.5 * phi, 1j / xi
+    j = (np.exp(1j * a) * scaled_exp1(1j * a * (-1.0 - r))
+         - np.exp(-1j * a) * scaled_exp1(1j * a * (1.0 - r)))
+    if a * r.imag < 0.0 and abs(r.real) < 1.0:
+        j -= 2j * math.pi * math.copysign(1.0, a) * np.exp(-1j * a * r)
+    return j / (1j * xi)
+
+
 class TestRuleCap:
     def test_largest_rule_matches_reference(self):
         # 0.78 * 5000 + 10 + 24 = 3,934 nodes, just under the 4,000 cap;
-        # scipy's oscillatory-weight quad (QAWO) is the reference at C = 0
+        # the reference is the exact C = 0 integral through E1
         phi, xi = 5000.0, 1.0
-
-        def part(f, weight):
-            return quad(f, -1.0, 1.0, weight=weight, wvar=0.5 * phi,
-                        epsabs=1e-14, epsrel=1e-12, limit=200)[0]
-
-        def u(l):
-            return 1.0 / (1.0 + (l * xi) ** 2)
-
-        def v(l):
-            return -l * xi / (1.0 + (l * xi) ** 2)
-
-        want = part(u, "cos") + part(v, "sin") + 1j * (part(v, "cos") - part(u, "sin"))
+        want = ell_integral_exact(phi, xi)
         assert ell_integral(phi, xi) == pytest.approx(want, rel=1e-8)
 
     @pytest.mark.parametrize("phi", [5200.0, -2.0e4, 1e307])
