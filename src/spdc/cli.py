@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -27,7 +28,9 @@ from .overlap import overlap_params
 from .quadrature import ell_integral
 from .rates import (
     apply_table_correction,
+    closed_form_kernel,
     equal_focus_beams,
+    equal_focus_waists,
     focus_optimize,
     pairs_closed_form,
     pairs_degenerate_numeric,
@@ -35,6 +38,7 @@ from .rates import (
 )
 
 _FMT = "{:.11e}"  # 12 significant digits
+_CSV_ROW = ",".join([_FMT] * 4 + ["{}"])  # x, rate, xi_agg, A+B+, status
 SCAN_VARIABLES = ("xi", "waist", "Lz", "delta_k")
 _RANGE_FLAGS = ("--range", "--xi-range")
 # points one scan may have: bounds the grid before it is allocated
@@ -98,47 +102,82 @@ def cmd_rate(
 def _scan_rows(config: ExperimentConfig, variable: str, grid: list):
     """Yield (rate, xi_agg, a_plus_b_plus, status) for each point of ``grid``.
 
-    What the swept variable does not touch is computed once, before the
-    first point: the material, the base beams and, for delta_k, the closed
-    form and the zero-phase axial integral, so that a delta_k point costs
-    one ``ell_integral`` call. A step that raises leaves NaN for what it did
+    An xi, waist or Lz scan is one pass of ``closed_form_kernel`` over the
+    whole grid; a row that fails any of the per-point checks is computed
+    again with ``_point_row``, so that its status names the error. For
+    delta_k the material, the beams, the closed form and the zero-phase
+    axial integral are computed once, so that a point costs one
+    ``ell_integral`` call. A step that raises leaves NaN for what it did
     not compute: when only the delta_k suppression fails, the closed-form
     xi_agg and A+B+ stay.
     """
     nan = math.nan
+    if variable != "delta_k":
+        for x, (rate, xi_agg, ab, ok) in zip(grid, _closed_form_pass(config, variable, grid)):
+            yield (rate, xi_agg, ab, "ok") if ok else _point_row(config, variable, x)
+        return
     kept = (nan, nan)  # the closed-form columns a failing row still shows
     try:
         material = config.material_optics()
-        if variable in ("xi", "delta_k"):
-            base = config.beam_triple()
-        if variable == "delta_k":
-            res = pairs_closed_form(material, base, CONSTANTS)
-            kept = (res.xi_agg, res.a_plus_b_plus)
-            params = overlap_params(base)
-            zero = abs(ell_integral(0.0, params.xi_agg, params.C_quad)) ** 2
+        base = config.beam_triple()
+        res = pairs_closed_form(material, base, CONSTANTS)
+        kept = (res.xi_agg, res.a_plus_b_plus)
+        params = overlap_params(base)
+        zero = abs(ell_integral(0.0, params.xi_agg, params.C_quad)) ** 2
     except SpdcError as exc:
         yield from itertools.repeat((nan, *kept, type(exc).__name__), len(grid))
         return
     for x in grid:
+        # on-axis suppression |I(phi)|^2 / |I(0)|^2 at phi = delta_k Lz
+        phi = x * base.crystal_length
         try:
-            if variable == "delta_k":
-                # on-axis suppression |I(phi)|^2 / |I(0)|^2 at phi = delta_k Lz
-                phi = x * base.crystal_length
-                here = abs(ell_integral(phi, params.xi_agg, params.C_quad)) ** 2
-                row = (res.pairs_per_s_per_mW * (here / zero), *kept, "ok")
-            else:
-                if variable == "xi":
-                    beams = equal_focus_beams(base, x)
-                elif variable == "waist":
-                    cfg = dataclasses.replace(config, waist_p=x, waist_1=x, waist_2=x)
-                    beams = cfg.beam_triple()
-                else:
-                    beams = dataclasses.replace(config, crystal_length=x).beam_triple()
-                point = pairs_closed_form(material, beams, CONSTANTS)
-                row = (point.pairs_per_s_per_mW, point.xi_agg, point.a_plus_b_plus, "ok")
+            here = abs(ell_integral(phi, params.xi_agg, params.C_quad)) ** 2
         except SpdcError as exc:
-            row = (nan, *kept, type(exc).__name__)
-        yield row
+            yield (nan, *kept, type(exc).__name__)
+        else:
+            yield (res.pairs_per_s_per_mW * (here / zero), *kept, "ok")
+
+
+def _closed_form_pass(config: ExperimentConfig, variable: str, grid: list):
+    """(rate, xi_agg, A+B+, ok) per point of an xi, waist or Lz grid, in one array pass.
+
+    ``ok`` is true where the point passes every check of ``_point_row``.
+    When the material or the configured beams fail, it is false throughout.
+    """
+    x = np.array(grid)
+    try:
+        material = config.material_optics()
+        base = config.beam_triple()
+        modes = (base.pump, base.signal, base.idler)
+        waists, Lz, valid = base.waists(), base.crystal_length, True
+        with np.errstate(all="ignore"):  # failing points give inf or NaN and ok false
+            if variable == "xi":
+                waists, valid = equal_focus_waists(base, x), x > 0.0
+            elif variable == "waist":
+                waists = (x, x, x)
+            else:
+                Lz = x
+            _, rate, xi_agg, ab, ok = closed_form_kernel(material, modes, waists, Lz,
+                                                         CONSTANTS)
+    except SpdcError:
+        return itertools.repeat((math.nan, math.nan, math.nan, False), len(grid))
+    return zip(rate.tolist(), xi_agg.tolist(), ab.tolist(), (ok & valid).tolist())
+
+
+def _point_row(config: ExperimentConfig, variable: str, x: float) -> tuple:
+    """One xi, waist or Lz scan row from the beams of that point alone."""
+    try:
+        material = config.material_optics()
+        if variable == "xi":
+            beams = equal_focus_beams(config.beam_triple(), x)
+        elif variable == "waist":
+            beams = dataclasses.replace(config, waist_p=x, waist_1=x, waist_2=x).beam_triple()
+        else:
+            beams = dataclasses.replace(config, crystal_length=x).beam_triple()
+        point = pairs_closed_form(material, beams, CONSTANTS)
+    except SpdcError as exc:
+        return (math.nan, math.nan, math.nan, type(exc).__name__)
+    return (point.pairs_per_s_per_mW, point.xi_agg, point.a_plus_b_plus, "ok")
 
 
 def cmd_scan(
@@ -171,7 +210,7 @@ def cmd_scan(
     grid = grid.tolist()
     print(CSV_HEADER, file=out)
     for x, (rate, xi_agg, ab, status) in zip(grid, _scan_rows(config, variable, grid)):
-        print(",".join((_fmt(x), _fmt(rate), _fmt(xi_agg), _fmt(ab), status)), file=out)
+        print(_CSV_ROW.format(x, rate, xi_agg, ab, status), file=out)
     return 0
 
 
@@ -309,42 +348,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(argv: list) -> int:
+    args = build_parser().parse_args(_attach_ranges(argv))
+    if args.command == "rate":
+        config = load_config(args.config)
+        return cmd_rate(
+            config,
+            oracle=args.oracle,
+            tol=args.tol,
+            degenerate=args.degenerate,
+            kappa0=args.kappa0,
+        )
+    if args.command == "scan":
+        config = load_config(args.config)
+        lo, hi = _parse_range(args.span, "--range")
+        if args.out:
+            try:
+                fh = open(args.out, "w", encoding="utf-8")
+            except OSError as exc:  # a directory, a missing parent, no permission
+                raise ConfigError(f"cannot write {args.out} ({exc.strerror})") from None
+            with fh:
+                return cmd_scan(config, args.variable, lo, hi, args.points,
+                                args.log, out=fh)
+        return cmd_scan(config, args.variable, lo, hi, args.points, args.log)
+    if args.command == "table":
+        rows = load_table_fixture(args.config)
+        return cmd_table(rows)
+    if args.command == "optimize":
+        config = load_config(args.config)
+        xi_range = (
+            _parse_range(args.xi_range, "--xi-range")
+            if args.xi_range else None
+        )
+        return cmd_optimize(config, xi_range)
+    raise ConfigError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_attach_ranges(argv))
-        if args.command == "rate":
-            config = load_config(args.config)
-            return cmd_rate(
-                config,
-                oracle=args.oracle,
-                tol=args.tol,
-                degenerate=args.degenerate,
-                kappa0=args.kappa0,
-            )
-        if args.command == "scan":
-            config = load_config(args.config)
-            lo, hi = _parse_range(args.span, "--range")
-            if args.out:
-                try:
-                    fh = open(args.out, "w", encoding="utf-8")
-                except OSError as exc:  # a directory, a missing parent, no permission
-                    raise ConfigError(f"cannot write {args.out} ({exc.strerror})") from None
-                with fh:
-                    return cmd_scan(config, args.variable, lo, hi, args.points,
-                                    args.log, out=fh)
-            return cmd_scan(config, args.variable, lo, hi, args.points, args.log)
-        if args.command == "table":
-            rows = load_table_fixture(args.config)
-            return cmd_table(rows)
-        if args.command == "optimize":
-            config = load_config(args.config)
-            xi_range = (
-                _parse_range(args.xi_range, "--xi-range")
-                if args.xi_range else None
-            )
-            return cmd_optimize(config, xi_range)
-        raise ConfigError(f"unknown command {args.command!r}")
+        code = _dispatch(argv)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`spdc scan ... | head`): Python's
+        # recipe points stdout at devnull so that the exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,10 +5,11 @@ caller chooses, evaluated on whole arrays of nodes at once: ``complex_quad``
 for the one-off overlap integrals, which compares the order-8 and order-16
 sums over the same panels for its error estimate, ``ell_integral`` for the
 batches of axial integrals inside the brute-force rate integrals (one rule
-per call, sized by the call's largest |phi|), and
-``panel_edges``/``panel_nodes`` for the layouts. No layout may hold more
-than ``MAX_PANELS`` panels; one that would raises before its nodes are
-built. Summation order is fixed everywhere, so results are deterministic.
+per call, sized by the call's largest |phi|, with its weights row cached
+by rule, xi and C), and ``panel_edges``/``panel_nodes`` for the layouts.
+No layout may hold more than ``MAX_PANELS`` panels; one that would raises
+before its nodes are built. Summation order is fixed everywhere, so
+results are deterministic.
 """
 
 from __future__ import annotations
@@ -23,9 +24,23 @@ from .errors import DomainError, QuadratureError
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
-    """Cached nodes/weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    """Cached nodes/weights of the n-point Gauss-Legendre rule on [-1, 1], read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+@lru_cache(maxsize=64)
+def _ell_weights(n: int, xi: float, C: float):
+    """Read-only weights row g = w / (1 + i x xi - C xi^2 x^2) of ``ell_integral``'s n-node rule.
+
+    Cached, so that a scan calling ``ell_integral`` once per phase at one
+    (xi, C) builds it once; a hit returns the very array a miss built.
+    """
+    x, w = gauss_legendre(n)
+    g = w / (1.0 + 1j * x * xi - C * (xi * xi) * (x * x))
+    g.flags.writeable = False
+    return g
 
 
 # panels one layout may hold; at the cap an order-16 pass has 800,000 nodes
@@ -102,8 +117,18 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     exp(-i (a + b) l / 2) = exp(-i a l / 2) exp(-i b l / 2), so the rule
     of n nodes costs (J + M) n exponentials and one (J x n) @ (n x M)
     product instead of J M n exponentials. The plain call is the
-    ``offsets = [0]`` case.
+    ``offsets = [0]`` case. The weights row of each (rule, xi, C) is
+    cached, and one float phase skips the array bookkeeping; neither
+    changes a bit of the result.
     """
+    if offsets is None and isinstance(phi, (int, float)):
+        # one phase: the general path's arithmetic without its array bookkeeping
+        phi = float(phi)
+        if not math.isfinite(phi):
+            return complex(math.nan, math.nan)
+        n = _ell_rule_size(abs(phi), abs(xi))
+        x, _ = gauss_legendre(n)
+        return complex(_ell_weights(n, xi, C) @ np.exp(-0.5j * (x * phi)))
     phi_arr = np.asarray(phi, dtype=float)
     b = phi_arr.ravel()
     finite_b = b[np.isfinite(b)]
@@ -123,8 +148,8 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
         out = np.full(shape, complex(math.nan, math.nan))
         return complex(out) if out.ndim == 0 else out
     n = _ell_rule_size(float(peak), abs(xi))
-    x, w = gauss_legendre(n)
-    g = w / (1.0 + 1j * x * xi - C * (xi * xi) * (x * x))
+    x, _ = gauss_legendre(n)
+    g = _ell_weights(n, xi, C)
     # a NaN or infinite phase turns its row or column of the product NaN
     with np.errstate(invalid="ignore"):
         # the plain call's zero offset multiplies by exp(0) = 1

@@ -31,7 +31,13 @@ import numpy as np
 from .beams import BeamTriple, GaussianMode
 from .errors import DegenerateDispersionError, DomainError, QuadratureError
 from .materials import CONSTANTS, MaterialOptics, PhysicalConstants
-from .overlap import overlap_params, overlap_prefactor, phase_mismatch_coefficients
+from .overlap import (
+    _xi_denominator,
+    _xi_numerator,
+    overlap_params,
+    overlap_prefactor,
+    phase_mismatch_coefficients,
+)
 from .quadrature import ell_integral, panel_nodes
 
 _MILLIWATT = 1e-3
@@ -131,6 +137,92 @@ def _require_nondegenerate(material: MaterialOptics):
         )
 
 
+def _atan(x):
+    """``math.atan`` of a float, or of each element of an array.
+
+    ``np.arctan`` differs from it in the last bit on some inputs, which
+    would change printed digits between a scan row and a single call.
+    """
+    if isinstance(x, float):
+        return math.atan(x)
+    return np.fromiter(map(math.atan, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _closed_form(material, modes, xi, ab, constants) -> tuple:
+    """The closed form: (pairs per pump photon, pairs per s per mW) from xi_agg and A+B+.
+
+    ``xi`` and ``ab`` are floats or arrays; the material must have passed
+    ``_require_nondegenerate``.
+    """
+    pump, signal, idler = modes
+    dng = abs(material.ng_1 - material.ng_2)
+    index_factor = (
+        material.ng_1 * material.ng_2 * material.ng_p
+        / (pump.n ** 3 * signal.n * idler.n * dng)
+    )
+    lam_1 = signal.lambda_vac
+    lam_2 = idler.lambda_vac
+    chi = material.chi2_eff
+    n_pairs = (
+        64.0 * math.pi ** 3 * constants.hbar * constants.c / constants.epsilon0
+        * index_factor
+        * (chi * chi) / (lam_1 * lam_1 * lam_2 * lam_2)
+        * _atan(xi) / ab
+    )
+    omega_p = _angular_frequency(pump.lambda_vac, constants)
+    return n_pairs, pairs_per_second(n_pairs, _MILLIWATT, omega_p, constants)
+
+
+def closed_form_kernel(
+    material: MaterialOptics,
+    modes: tuple,
+    waists: tuple,
+    Lz,
+    constants: PhysicalConstants = CONSTANTS,
+) -> tuple:
+    """The closed-form rate over arrays of waists or crystal lengths, in one pass.
+
+    ``modes`` are the pump, signal and idler modes, of which only the
+    wavelength, index and focus position are read; the waists
+    (w_p, w_1, w_2) and the crystal length ``Lz`` are arrays that
+    broadcast, or floats beside them. Returns (pairs per pump photon,
+    pairs per s per mW, xi_agg, A+B+, ok). Each element comes from the
+    operations, in their order, of ``GaussianMode``, ``BeamTriple``,
+    ``overlap_params`` and ``pairs_closed_form`` on that point's beams, so
+    it is bit-identical to them, and ``ok`` is true exactly where all
+    their checks pass; elsewhere the values are whatever the arithmetic
+    gave. Call it under ``np.errstate(all="ignore")``. Raises
+    DegenerateDispersionError as ``pairs_closed_form`` does, since that
+    check is on the material alone.
+    """
+    _require_nondegenerate(material)
+    pump, signal, idler = modes
+    k_p, k_1, k_2 = pump.k, signal.k, idler.k
+    w_p, w_1, w_2 = waists
+    inf = math.inf
+    ok = (0.0 < Lz) & (Lz < inf) & (not (pump.z0 or signal.z0 or idler.z0))
+    for k, w in ((k_p, w_p), (k_1, w_1), (k_2, w_2)):
+        z_R = 0.5 * k * w * w
+        ok = ok & (0.0 < w) & (w < inf) & (0.0 < z_R) & (z_R < inf)
+    xi_p = Lz / (k_p * w_p * w_p)
+    xi_1 = Lz / (k_1 * w_1 * w_1)
+    xi_2 = Lz / (k_2 * w_2 * w_2)
+    # aggregate_focal_parameter and a_plus_b_plus, without their raises
+    num = _xi_numerator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
+    sigma = _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
+    ab_den = k_p * k_p * xi_1 * xi_2 * xi_p
+    xi = num / sigma
+    ab = sigma * num / ab_den
+    n_pairs, rate = _closed_form(material, modes, xi, ab, constants)
+    # the divisors overlap_params checks, then the checks on the result
+    ok = (
+        ok & (sigma != 0.0) & (num * num != 0.0) & (Lz * sigma != 0.0)
+        & (ab_den != 0.0) & (0.0 < xi) & (xi < inf) & (0.0 < ab) & (ab < inf)
+        & (abs(rate) < inf)
+    )
+    return n_pairs, rate, xi, ab, ok
+
+
 def pairs_closed_form(
     material: MaterialOptics,
     beams: BeamTriple,
@@ -147,23 +239,8 @@ def pairs_closed_form(
             "and finite; configuration outside the validity of the rate formula"
         )
 
-    n_p, n_1, n_2 = beams.pump.n, beams.signal.n, beams.idler.n
-    dng = abs(material.ng_1 - material.ng_2)
-    index_factor = (
-        material.ng_1 * material.ng_2 * material.ng_p
-        / (n_p ** 3 * n_1 * n_2 * dng)
-    )
-    lam_1 = beams.signal.lambda_vac
-    lam_2 = beams.idler.lambda_vac
-    chi = material.chi2_eff
-    n_pairs = (
-        64.0 * math.pi ** 3 * constants.hbar * constants.c / constants.epsilon0
-        * index_factor
-        * (chi * chi) / (lam_1 * lam_1 * lam_2 * lam_2)
-        * math.atan(xi) / ab
-    )
-    omega_p = _angular_frequency(beams.pump.lambda_vac, constants)
-    rate = pairs_per_second(n_pairs, _MILLIWATT, omega_p, constants)
+    modes = (beams.pump, beams.signal, beams.idler)
+    n_pairs, rate = _closed_form(material, modes, xi, ab, constants)
     if not math.isfinite(rate):  # also catches a non-finite n_pairs
         raise DomainError(f"closed-form rate {rate:.4g} per s per mW is not finite")
     return RateResult(
@@ -563,21 +640,35 @@ def collimated_limit_rates(
     return r_sm, r_revised
 
 
+def equal_focus_waists(base: BeamTriple, xi) -> tuple:
+    """The waists (w_p, w_1, w_2) that give every mode of ``base`` focal parameter ``xi``.
+
+    w = sqrt(Lz / (k xi)), taken with ``math.sqrt`` for a positive number
+    and ``np.sqrt`` for an array; both are correctly rounded, so they agree
+    bit for bit. An array element that is not positive gives NaN or inf
+    (and a RuntimeWarning outside ``np.errstate``), which ``GaussianMode``
+    refuses.
+    """
+    Lz = base.crystal_length
+    sqrt = np.sqrt if isinstance(xi, np.ndarray) else math.sqrt
+    return (sqrt(Lz / (base.pump.k * xi)), sqrt(Lz / (base.signal.k * xi)),
+            sqrt(Lz / (base.idler.k * xi)))
+
+
 def equal_focus_beams(base: BeamTriple, xi: float) -> BeamTriple:
     """Rescale all waists so every focal parameter equals ``xi``."""
     if xi <= 0.0:
         raise DomainError(f"focal parameter must be positive, got {xi}")
-    Lz = base.crystal_length
+    w_p, w_1, w_2 = equal_focus_waists(base, xi)
 
-    def remode(mode: GaussianMode) -> GaussianMode:
-        w = math.sqrt(Lz / (mode.k * xi))
+    def remode(mode: GaussianMode, w: float) -> GaussianMode:
         return GaussianMode(lambda_vac=mode.lambda_vac, n=mode.n, w0=w, z0=mode.z0)
 
     return BeamTriple(
-        pump=remode(base.pump),
-        signal=remode(base.signal),
-        idler=remode(base.idler),
-        crystal_length=Lz,
+        pump=remode(base.pump, w_p),
+        signal=remode(base.signal, w_1),
+        idler=remode(base.idler, w_2),
+        crystal_length=base.crystal_length,
     )
 
 

@@ -447,6 +447,24 @@ class TestScanRowsMatchLibrary:
         if variable == "delta_k":  # a failing row keeps the closed-form columns
             assert all("nan" not in r.split(",")[2:4] for r in rows)
 
+    @pytest.mark.parametrize("config_path", [PPKTP_CONFIG, DISPERSION_CONFIG],
+                             ids=["literal", "dispersion"])
+    @pytest.mark.parametrize("variable, lo, hi, points, log, statuses", [
+        # a negative waist gives the same xi_j as a positive one, yet fails
+        ("waist", -1e-4, 1e-4, 801, False, {"ok", "DomainError"}),
+        ("waist", 1e-300, 1e300, 1201, True,
+         {"ok", "DomainError", "DegenerateConfigurationError"}),
+        ("Lz", -1.0, 1.0, 801, False, {"ok", "DomainError"}),
+        ("Lz", 1e-300, 1e300, 1201, True,
+         {"ok", "DomainError", "DegenerateConfigurationError"}),
+        ("xi", 1e-320, 1e-300, 401, True, {"DomainError", "DegenerateConfigurationError"}),
+    ], ids=["waist_signs", "waist_log", "Lz_signs", "Lz_log", "xi_subnormal"])
+    def test_hostile_grids(self, capsys, config_path, variable, lo, hi, points, log,
+                           statuses):
+        """Grids where the array pass hands many rows back to the per-point code."""
+        self.test_rows_equal_per_point_library_calls(
+            capsys, config_path, variable, lo, hi, points, log, statuses)
+
 
 class TestRepeatedCalls:
     """Calls in one process leave nothing behind for the next."""
@@ -484,6 +502,23 @@ def test_package_exports_entry_points_only():
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == set(spdc.__all__) and len(public) <= 8
     assert isinstance(spdc.load_config(PPKTP_CONFIG), ExperimentConfig)
+
+
+def test_closed_stdout_exits_1_quietly():
+    """`spdc scan ... | head -1`: exit 1, nothing on stderr, no traceback."""
+    args = ("scan", "--config", PPKTP_CONFIG, "--variable", "xi", "--range", "0.1:5",
+            "--points", "20000")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "spdc.cli", *map(str, args)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the 1.4 MB of rows cannot all sit in the pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
+    assert first.decode().rstrip("\n") == "x,pairs_per_s_per_mW,xi_agg,a_plus_b_plus,status"
 
 
 class TestUsageErrors:

@@ -82,6 +82,43 @@ class TestOffsets:
             )
 
 
+class TestWeightsCache:
+    """The cached weights row changes no bit of ``ell_integral``."""
+
+    PHASES = np.concatenate((np.linspace(-40.0, 40.0, 161), [-700.0, 0.5, 230.0]))
+
+    @pytest.mark.parametrize("xi", [1e-3, 1.0, 12.0])
+    @pytest.mark.parametrize("C", [0.0, 1e-3, 0.05])
+    def test_warm_equals_cold(self, xi, C):
+        for phi in (*self.PHASES.tolist(), self.PHASES):
+            quadrature._ell_weights.cache_clear()
+            cold = ell_integral(phi, xi, C)
+            warm = ell_integral(phi, xi, C)
+            assert quadrature._ell_weights.cache_info().hits == 1
+            assert np.array(warm).tobytes() == np.array(cold).tobytes()
+
+    def test_bounded_and_read_only(self):
+        assert quadrature._ell_weights.cache_parameters()["maxsize"] is not None
+        quadrature._ell_weights.cache_clear()
+        ell_integral(3.0, 1.0, 1e-3)
+        ell_integral(3.0, 1.0, 1e-3)
+        assert quadrature._ell_weights.cache_info()[:2] == (1, 1)  # one hit, one miss
+        g = quadrature._ell_weights(64, 1.0, 1e-3)
+        with pytest.raises(ValueError):
+            g[0] = 0.0
+        for array in quadrature.gauss_legendre(64):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+def test_single_phase_matches_the_array_path():
+    """A float phase skips the array bookkeeping and keeps every bit."""
+    for xi, C in ((1e-3, 0.0), (1.0, 1e-3), (12.0, 0.05)):
+        for phi in np.linspace(-150.0, 150.0, 801).tolist():
+            one = ell_integral(np.array([phi]), xi, C)[0]
+            assert np.array(ell_integral(phi, xi, C)).tobytes() == np.array(one).tobytes()
+
+
 class TestNonFinitePhase:
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_scalar_is_nan(self, phi):

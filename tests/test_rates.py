@@ -8,14 +8,22 @@ import pytest
 
 from spdc.beams import BeamTriple, GaussianMode
 from spdc.config import load_config
-from spdc.errors import DegenerateDispersionError, DomainError, QuadratureError
+from spdc.errors import (
+    DegenerateConfigurationError,
+    DegenerateDispersionError,
+    DomainError,
+    QuadratureError,
+    SpdcError,
+)
 from spdc.materials import CONSTANTS, MaterialOptics, inverse_chi2, poling_profile, wavenumber
 from spdc.overlap import overlap_params, overlap_simplified, phase_mismatch_coefficients
 from spdc.rates import (
     PumpSpec,
+    _atan,
     _pump_rule_order,
     apply_table_correction,
     bennink_ratio,
+    closed_form_kernel,
     collimated_limit_rates,
     equal_focus_beams,
     focus_optimize,
@@ -112,6 +120,66 @@ class TestClosedForm:
         degenerate = dataclasses.replace(ppktp_material, ng_2=ppktp_material.ng_1)
         with pytest.raises(DegenerateDispersionError, match="degenerate"):
             pairs_closed_form(degenerate, ppktp_base_beams)
+
+
+class TestClosedFormKernel:
+    def test_array_pass_is_the_per_point_calls(self, ppktp_material, ppktp_base_beams):
+        """Each element has the bits of pairs_closed_form, and ok is true exactly where it succeeds."""
+        b = ppktp_base_beams
+        modes = (b.pump, b.signal, b.idler)
+        w = np.concatenate((np.geomspace(1e-170, 1e10, 400), [-3e-5, 0.0, math.inf]))
+        with np.errstate(all="ignore"):
+            n_pairs, rate, xi, ab, ok = closed_form_kernel(ppktp_material, modes, (w, w, w),
+                                                           b.crystal_length)
+        for k, wk in enumerate(w.tolist()):
+            try:
+                beams = BeamTriple(*(GaussianMode(m.lambda_vac, m.n, wk) for m in modes),
+                                   crystal_length=b.crystal_length)
+                res = pairs_closed_form(ppktp_material, beams)
+            except SpdcError:
+                assert not ok[k]
+                continue
+            assert ok[k]
+            got = (res.pairs_per_pump_photon, res.pairs_per_s_per_mW, res.xi_agg,
+                   res.a_plus_b_plus)
+            assert got == (n_pairs[k], rate[k], xi[k], ab[k])
+        assert 0 < np.count_nonzero(ok) < w.size
+
+    @pytest.mark.parametrize("waists, Lz, message", [
+        ((1e40, 1e40, 1e40), 0.01, "squared aggregate-xi numerator vanishes"),
+        ((1e-115, 1e-115, 1e-115), 1e-300, r"Lz \(k1\*xi1 .*normalization degenerate"),
+        ((1e15, 1e15, 1e15), 1e-300, "focal parameters degenerate"),
+        # xi_1 = 1e10 and xi_p = xi_2 ~ 1e-175
+        ((8e82, 3.8e-10, 1.2e83), 0.01, r"A\+B\+ undefined"),
+    ], ids=["C_quad", "D_norm", "xi_agg", "a_plus_b_plus"])
+    def test_each_underflow_names_its_check(self, ppktp_material, ppktp_base_beams,
+                                            waists, Lz, message):
+        """The kernel's mask is also the scalar call's: each check keeps its own error."""
+        modes = (ppktp_base_beams.pump, ppktp_base_beams.signal, ppktp_base_beams.idler)
+        beams = BeamTriple(*(GaussianMode(m.lambda_vac, m.n, w) for m, w in zip(modes, waists)),
+                           crystal_length=Lz)
+        with pytest.raises(DegenerateConfigurationError, match=message):
+            pairs_closed_form(ppktp_material, beams)
+        with np.errstate(all="ignore"):
+            ok = closed_form_kernel(ppktp_material, modes, np.array([waists]).T, Lz)[4]
+        assert not ok[0]
+
+    def test_overflowing_rate_is_not_ok(self, ppktp_material, ppktp_base_beams):
+        import dataclasses
+        huge = dataclasses.replace(ppktp_material, d_eff=1e160)
+        with pytest.raises(DomainError, match="closed-form rate inf per s per mW"):
+            pairs_closed_form(huge, ppktp_base_beams)
+        b = ppktp_base_beams
+        with np.errstate(all="ignore"):
+            ok = closed_form_kernel(huge, (b.pump, b.signal, b.idler),
+                                    np.array([b.waists()]).T, b.crystal_length)[4]
+        assert not ok[0]
+
+    def test_arctan_is_math_atan(self):
+        # np.arctan is off by an ulp on some inputs, which would show in printed digits
+        x = np.random.default_rng(3).uniform(0.0, 20.0, 100_000)
+        assert _atan(x).tolist() == [math.atan(v) for v in x.tolist()]
+        assert _atan(0.5) == math.atan(0.5)
 
 
 class TestBruteForce:
