@@ -170,37 +170,6 @@ def group_index(model: DispersionModel, lam: float) -> float:
     return n - lam_um * dn2_dlam / (2.0 * n)
 
 
-def wavenumber(n: float, lam: float) -> float:
-    """Wavevector magnitude k = 2 pi n / lambda (1/m) inside the medium."""
-    if not (lam > 0.0):
-        raise DomainError(f"wavelength must be positive, got {lam}")
-    if not (n >= 1.0):
-        raise DomainError(f"refractive index must be >= 1, got {n}")
-    return 2.0 * math.pi * n / lam
-
-
-def inverse_chi2(
-    chi2_eff: float,
-    n_p: float,
-    n_1: float,
-    n_2: float,
-    constants: PhysicalConstants = CONSTANTS,
-) -> float:
-    """Effective second-order inverse susceptibility (m^2 V / C units).
-
-    The expansion of E in powers of D carries the opposite sign of the
-    conventional chi^(2), scaled by the squared linear response of all three
-    interacting fields:
-
-        zeta_eff = - chi2_eff / (eps0^2 n_p^2 n_1^2 n_2^2)
-    """
-    for name, n in (("n_p", n_p), ("n_1", n_1), ("n_2", n_2)):
-        if not (n >= 1.0):
-            raise DomainError(f"{name} must be >= 1, got {n}")
-    eps0 = constants.epsilon0
-    return -chi2_eff / (eps0 * eps0 * (n_p * n_1 * n_2) ** 2)
-
-
 def poling_profile(z, poling_period: Optional[float], Lz: float):
     """Sign of the nonlinearity at axial position ``z`` (crystal center at 0).
 

@@ -1,36 +1,31 @@
 """Spatial overlap of the pump, signal and idler Gaussian modes.
 
-The three-mode overlap against the phase factor exp(-i dk z) over the
-crystal is what sets the absolute pair rate. It is computed two independent
-ways: ``overlap_direct`` integrates the product of beam parameters along z
-exactly as written, while ``overlap_simplified`` uses the algebraic
-reduction to a single dimensionless axial integral over l = 2z/Lz with
-aggregate parameters (xi, C, D); see Bennink, Phys. Rev. A 81, 053805
-(2010) for the lineage of that reduction. The two must agree to quadrature
-tolerance, which the test suite exploits as a cross-check of the whole
-parameter algebra.
+The overlap against exp(-i dk z) over the crystal sets the absolute pair
+rate. ``overlap_direct`` integrates the product of the three beam parameters
+along z; ``overlap_simplified`` integrates the reduced axial form over
+l = 2z/Lz with aggregate parameters (xi, C, D) (Bennink, Phys. Rev. A 81,
+053805 (2010)). Their agreement cross-checks the parameter algebra.
 
-Both integrate with ``quadrature.complex_quad`` in one vectorised pass over
-a panel layout sized from the integrand: a panel spans at most ~pi of
-phase and half the distance to the nearest zero of the denominator, and in
-a poled crystal every domain is split into the same number of panels, so no
-panel straddles a domain wall.
+Both denominators are quadratics held as complex coefficients (c2, c1, c0):
+the direct one expanded from the linear beam parameters, the reduced one
+(-C xi^2, i xi, 1). ``_panel_width`` takes their roots in closed form, so a
+panel spans at most ~pi of phase and half the distance to the nearest root,
+and one ``quadrature.complex_quad`` pass evaluates one Horner polynomial,
+one exp and one division per node. A poled crystal's domains are split
+alike, so each panel has one poling sign.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamTriple, scaled_beam_parameter
-from .errors import (
-    DegenerateConfigurationError,
-    DomainError,
-    OverlapSingularityError,
-)
-from .materials import MaterialOptics, domain_walls, poling_profile
+from .beams import BeamTriple
+from .errors import DegenerateConfigurationError, DomainError, OverlapSingularityError
+from .materials import MaterialOptics, domain_walls
 from .quadrature import complex_quad, panel_count, panel_edges
 
 # refuse the reduced integrand when its denominator dips below this
@@ -190,35 +185,75 @@ def _denominator_minimum(xi: float, C: float) -> float:
     return math.sqrt(min(vals))
 
 
-def _panel_width(denominator, lo: float, hi: float, rate: float) -> float:
-    """Widest panel for exp(-i rate x) / denominator(x) on [lo, hi].
+def _quadratic_roots(c2, c1, c0) -> tuple:
+    """Roots of c2 x^2 + c1 x + c0 (not all zero), free of cancellation.
+
+    With the coefficients scaled to at most 1, so that c1^2 cannot overflow,
+    q = -(c1 + s sqrt(c1^2 - 4 c2 c0)) / 2 takes the sign s that adds
+    magnitudes; the roots are q / c2 and c0 / q, only c0 / q when c2 = 0.
+    """
+    scale = max(abs(c2), abs(c1), abs(c0))
+    c2, c1, c0 = c2 / scale, c1 / scale, c0 / scale
+    d = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    q = -0.5 * (c1 + d if (c1.conjugate() * d).real >= 0.0 else c1 - d)
+    if q == 0.0:  # c1 = 0 and c2 c0 = 0: a double root at 0, or a constant
+        return (0j, 0j) if c2 else ()
+    return (q / c2, c0 / q) if c2 else (c0 / q,)
+
+
+def _panel_width(coeffs: tuple, lo: float, hi: float, rate: float) -> float:
+    """Widest panel for exp(-i rate x) / (c2 x^2 + c1 x + c0) on [lo, hi]; coeffs = (c2, c1, c0).
 
     A panel spans at most ~pi of phase and half the distance from [lo, hi]
-    to the nearest zero of the denominator. Both overlap denominators are
-    quadratic in x, so their values at the ends and the middle fix them.
-    Inside those limits the order-8 sum is within ~1e-13 of the integral of |f|.
+    to the nearest root of the denominator (``_quadratic_roots``). Inside
+    those limits the order-8 sum is within ~1e-13 of the integral of |f|.
     """
+    if not (all(map(cmath.isfinite, coeffs)) and any(coeffs)):
+        raise DomainError(f"overlap denominator is zero or not finite on [{lo:.4g}, {hi:.4g}]")
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    d_lo, d_mid, d_hi = (complex(denominator(x)) for x in (lo, mid, hi))
-    # the polynomial in u = (x - mid) / half, where [lo, hi] is [-1, 1]
-    coeffs = np.array([0.5 * (d_hi + d_lo) - d_mid, 0.5 * (d_hi - d_lo), d_mid])
-    if not np.all(np.isfinite(coeffs)):
-        raise DomainError(f"overlap denominator is not finite on [{lo:.4g}, {hi:.4g}]")
-    u = np.roots(coeffs)
-    gap = half * np.hypot(np.maximum(np.abs(u.real) - 1.0, 0.0), u.imag)
-    width = min(hi - lo, 0.5 * float(np.min(gap, initial=math.inf)))
+    gaps = [math.hypot(max(abs(r.real - mid) - half, 0.0), r.imag)
+            for r in _quadratic_roots(*coeffs)]
+    width = min(hi - lo, 0.5 * min(gaps, default=math.inf))
     return width if rate == 0.0 else min(width, _MAX_PANEL_PHASE / abs(rate))
 
 
-def overlap_simplified(
-    params: OverlapParams,
-    chi_eff: float,
-    w_p: float,
-    w_1: float,
-    w_2: float,
-    Lz: float,
-    quad_tol: float = 1e-9,
-) -> complex:
+def _integrand(coeffs: tuple, rate: float, signs=None):
+    """x -> exp(-i rate x) / ((c2 x + c1) x + c0), each panel's nodes times its sign."""
+    c2, c1, c0 = coeffs
+
+    def f(x):
+        value = np.exp(-1j * rate * x) / ((c2 * x + c1) * x + c0)
+        return value if signs is None else np.repeat(signs, x.size // signs.size) * value
+    return f
+
+
+def _direct_coefficients(beams: BeamTriple) -> tuple:
+    """(c2, c1, c0) in z of qb_p qb_1* + qb_p qb_2* + qb_1* qb_2*, where
+    qb_j(z) = a_j + b_j z with a_j = -w0_j^2 - (2i/k_j) z0_j and b_j = 2i/k_j."""
+    (ap, bp), (a1, b1), (a2, b2) = ((-m.w0 * m.w0 - 2j / m.k * m.z0, 2j / m.k)
+                                    for m in (beams.pump, beams.signal, beams.idler))
+    a1, b1, a2, b2 = a1.conjugate(), b1.conjugate(), a2.conjugate(), b2.conjugate()
+    return (bp * (b1 + b2) + b1 * b2,
+            ap * (b1 + b2) + bp * (a1 + a2) + a1 * b2 + b1 * a2,
+            ap * (a1 + a2) + a1 * a2)
+
+
+def _domain_panels(Lz: float, period: float | None, width: float) -> tuple:
+    """Edges on [-Lz/2, Lz/2] splitting each domain alike into panels <= ``width``, and
+    each panel's sign: +1 first, as in ``materials.poling_profile``; None unpoled."""
+    domain = Lz if period is None else min(Lz, 0.5 * period)
+    per_domain = panel_count(domain, width)
+    # raises past the panel cap before the domain walls are built
+    panel_count(Lz, domain / per_domain)
+    walls = np.concatenate(([-0.5 * Lz], domain_walls(period, Lz), [0.5 * Lz]))
+    steps = np.arange(per_domain) / per_domain
+    edges = np.append(walls[:-1, None] + np.outer(np.diff(walls), steps), walls[-1])
+    signs = np.repeat(1.0 - 2.0 * (np.arange(len(walls) - 1) % 2), per_domain)
+    return edges, (None if period is None else signs)
+
+
+def overlap_simplified(params: OverlapParams, chi_eff: float, w_p: float, w_1: float,
+                       w_2: float, Lz: float, quad_tol: float = 1e-9) -> complex:
     """Overlap from the reduced axial integral over l in [-1, 1].
 
     O = -i chi_eff sqrt(2/pi) w_p w_1 w_2 D
@@ -238,67 +273,32 @@ def overlap_simplified(
             f"{_MIN_DENOMINATOR:g} inside [-1, 1] (xi={xi:.4g}, C={C:.4g}); "
             "configuration outside the validity of the reduced form"
         )
-
-    def denominator(ell):
-        return 1.0 + 1j * ell * xi - C * xi * xi * ell * ell
-
-    def integrand(ell):
-        return np.exp(-0.5j * phi * ell) / denominator(ell)
-
-    width = _panel_width(denominator, -1.0, 1.0, 0.5 * phi)
-    value, _err = complex_quad(integrand, panel_edges(-1.0, 1.0, width), quad_tol)
+    coeffs = (-C * xi * xi, 1j * xi, 1.0)
+    width = _panel_width(coeffs, -1.0, 1.0, 0.5 * phi)
+    value, _err = complex_quad(_integrand(coeffs, 0.5 * phi),
+                               panel_edges(-1.0, 1.0, width), quad_tol)
     return overlap_prefactor(chi_eff, (w_p, w_1, w_2), params.D_norm) * value
 
 
-def overlap_direct(
-    beams: BeamTriple,
-    material: MaterialOptics,
-    delta_k: float,
-    quad_tol: float = 1e-9,
-) -> complex:
+def overlap_direct(beams: BeamTriple, material: MaterialOptics, delta_k: float,
+                   quad_tol: float = 1e-9) -> complex:
     """Overlap from direct axial quadrature of the beam-parameter product.
 
     O = -i chi_eff sqrt(8/pi) w_p w_1 w_2
         * integral over z in [-Lz/2, Lz/2] of
           chi_bar(z) exp(-i dk z) / (qb_p qb_1* + qb_p qb_2* + qb_1* qb_2*),
 
-    with chi_bar the poling sign profile when the material is periodically
-    poled. The panels split every poling domain alike, so each node lies
-    strictly inside one domain and takes that domain's sign. Raises
-    QuadratureError when the layout needs more than ``MAX_PANELS`` panels
-    or the error estimate is over ``quad_tol``. Units m/V * m.
+    with chi_bar the poling sign, one per panel, since no panel straddles a
+    domain wall. Raises QuadratureError when the layout needs more than
+    ``MAX_PANELS`` panels or the error estimate is over ``quad_tol``.
+    Units m/V * m.
     """
     if not math.isfinite(delta_k):
         raise DomainError(f"delta_k must be finite, got {delta_k}")
     Lz = beams.crystal_length
-    period = material.poling_period
-
-    def denominator(z):
-        qb_p = scaled_beam_parameter(beams.pump, z)
-        qb_1c = np.conj(scaled_beam_parameter(beams.signal, z))
-        qb_2c = np.conj(scaled_beam_parameter(beams.idler, z))
-        return qb_p * qb_1c + qb_p * qb_2c + qb_1c * qb_2c
-
-    def integrand(z):
-        return (poling_profile(z, period, Lz) * np.exp(-1j * delta_k * z)
-                / denominator(z))
-
-    width = _panel_width(denominator, -0.5 * Lz, 0.5 * Lz, delta_k)
-    domain = Lz if period is None else min(Lz, 0.5 * period)
-    per_domain = panel_count(domain, width)
-    # raises past the panel cap before the domain walls are built
-    panel_count(Lz, domain / per_domain)
-    walls = np.concatenate(([-0.5 * Lz], domain_walls(period, Lz), [0.5 * Lz]))
-    steps = np.arange(per_domain) / per_domain
-    edges = np.append(walls[:-1, None] + np.outer(np.diff(walls), steps), walls[-1])
-    value, _err = complex_quad(integrand, edges, quad_tol)
-
-    prefactor = (
-        -1j
-        * material.chi2_eff
-        * math.sqrt(8.0 / math.pi)
-        * beams.pump.w0
-        * beams.signal.w0
-        * beams.idler.w0
-    )
-    return prefactor * value
+    coeffs = _direct_coefficients(beams)
+    width = _panel_width(coeffs, -0.5 * Lz, 0.5 * Lz, delta_k)
+    edges, signs = _domain_panels(Lz, material.poling_period, width)
+    value, _err = complex_quad(_integrand(coeffs, delta_k, signs), edges, quad_tol)
+    w_p, w_1, w_2 = beams.waists()
+    return -1j * material.chi2_eff * math.sqrt(8.0 / math.pi) * w_p * w_1 * w_2 * value

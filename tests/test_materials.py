@@ -1,4 +1,4 @@
-"""Dispersion models, susceptibilities and the poling profile."""
+"""Dispersion models, wavenumbers and the poling profile."""
 
 import math
 import zlib
@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from spdc.beams import GaussianMode
 from spdc.errors import ConfigError, DomainError, WavelengthRangeError
 from spdc.materials import (
     CONSTANTS,
@@ -14,15 +15,11 @@ from spdc.materials import (
     builtin_material_names,
     domain_walls,
     group_index,
-    inverse_chi2,
     load_builtin_material,
     load_dispersion_model,
     poling_profile,
     refractive_index,
-    wavenumber,
 )
-
-EPS0 = CONSTANTS.epsilon0
 
 VACUUM = DispersionModel("vacuum", "", "constant", (1.0,), (1e-8, 1e-3))
 
@@ -100,46 +97,24 @@ class TestGroupIndex:
 
 
 class TestWavenumber:
+    """The in-medium wavevector k = 2 pi n / lambda, held by ``GaussianMode.k``."""
+
     def test_unit_values(self):
-        assert wavenumber(1.0, 2.0 * math.pi) == pytest.approx(1.0, rel=1e-15)
-        assert wavenumber(2.0, 1e-6) == pytest.approx(4.0 * math.pi * 1e6, rel=1e-15)
+        assert GaussianMode(2.0 * math.pi, 1.0, 1.0).k == pytest.approx(1.0, rel=1e-15)
+        assert GaussianMode(1e-6, 2.0, 30e-6).k == pytest.approx(4.0 * math.pi * 1e6,
+                                                                 rel=1e-15)
 
     def test_consistent_with_omega_over_c(self):
         model = load_builtin_material("ktp_y")
         lam = 810e-9
         n = refractive_index(model, lam)
         omega = 2.0 * math.pi * CONSTANTS.c / lam
-        assert wavenumber(n, lam) == pytest.approx(omega / CONSTANTS.c * n, rel=1e-12)
+        k = GaussianMode(lam, n, 30e-6).k
+        assert k == pytest.approx(omega / CONSTANTS.c * n, rel=1e-12)
 
     def test_nonpositive_wavelength(self):
         with pytest.raises(DomainError):
-            wavenumber(1.5, 0.0)
-
-
-class TestInverseChi2:
-    def test_unit_index_limit(self):
-        chi = 3.1e-12
-        assert inverse_chi2(chi, 1.0, 1.0, 1.0) == pytest.approx(
-            -chi / EPS0**2, rel=1e-15
-        )
-
-    def test_index_scaling(self):
-        chi = 3.1e-12
-        base = inverse_chi2(chi, 1.0, 1.0, 1.0)
-        doubled = inverse_chi2(chi, 2.0, 2.0, 2.0)
-        assert doubled == pytest.approx(base / 64.0, rel=1e-14)
-
-    def test_direct_substitution(self):
-        # chi = 2e-12, all indices 2: zeta = -2e-12 / (64 eps0^2)
-        val = inverse_chi2(2e-12, 2.0, 2.0, 2.0)
-        assert val == pytest.approx(-2e-12 / (64.0 * EPS0**2), rel=1e-14)
-
-    def test_sign_always_negative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            chi = rng.uniform(1e-13, 1e-11)
-            n = rng.uniform(1.0, 3.0, 3)
-            assert inverse_chi2(chi, *n) < 0.0
+            GaussianMode(0.0, 1.5, 30e-6)
 
 
 class TestPolingProfile:

@@ -20,10 +20,14 @@ from spdc.errors import (
     DomainError,
     OverlapSingularityError,
     QuadratureError,
+    SpdcError,
 )
 from spdc.materials import CONSTANTS, MaterialOptics, domain_walls, poling_profile
 from spdc.overlap import (
     OverlapParams,
+    _direct_coefficients,
+    _domain_panels,
+    _quadratic_roots,
     a_plus_b_plus,
     aggregate_focal_parameter,
     normalization_coefficient,
@@ -34,7 +38,7 @@ from spdc.overlap import (
     phase_mismatch_coefficients,
     quadratic_coefficient,
 )
-from spdc.quadrature import MAX_PANELS, ell_integral
+from spdc.quadrature import MAX_PANELS, ell_integral, panel_nodes
 from spdc.rates import equal_focus_beams, overlap_value, pairs_closed_form
 
 
@@ -385,6 +389,19 @@ class TestOverlapDirect:
         want = adaptive_overlap_direct(beams, material, dk)
         assert abs(got - want) <= 1e-10 * abs(want)
 
+    @pytest.mark.parametrize("offset", [0.0, 3100.0])
+    def test_poled_partial_domain_displaced_foci(self, offset):
+        # 1 mm is 200.6 half-periods, so the last domain is partial; the
+        # displaced foci make c1 and c0 complex
+        Lz, period = 1e-3, 9.97e-6
+        beams = equal_focus_triple(Lz, 0.8, n=(1.83, 1.74, 1.81),
+                                   z0=(0.15e-3, -0.1e-3, 0.05e-3))
+        material = MaterialOptics(1.85, 1.84, 1.86, 2.4e-12, poling_period=period)
+        dk = 2.0 * math.pi / period + offset
+        got = overlap_direct(beams, material, dk, quad_tol=1e-11)
+        want = adaptive_overlap_direct(beams, material, dk)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
     def test_panel_cap_raises_before_building_walls(self):
         # four times as many domains as the panel cap: the walls alone take
         # megabytes, the order-16 nodes tens of megabytes
@@ -431,6 +448,124 @@ class TestOverlapDirect:
         mags = [abs(overlap_direct(beams, material, dk, 1e-8)) for dk in dks]
         peak = dks[int(np.argmax(mags))]
         assert abs(peak - dk0) <= step
+
+
+def sorted_roots(roots):
+    return np.sort_complex(np.asarray(roots, dtype=complex))
+
+
+class TestQuadraticRoots:
+    def test_matches_numpy_on_random_coefficients(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            c = rng.normal(size=3) + 1j * rng.normal(size=3)
+            c *= 10.0 ** rng.uniform(-20, 20, 3)
+            got = sorted_roots(_quadratic_roots(*c))
+            want = sorted_roots(np.roots(c))
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_double_root(self):
+        r = 0.3 - 2.1j
+        got = _quadratic_roots(2.0, -4.0 * r, 2.0 * r * r)
+        assert len(got) == 2
+        assert max(abs(g - r) for g in got) <= 1e-7 * abs(r)
+        assert _quadratic_roots(3.0, 0.0, 0.0) == (0j, 0j)
+
+    @pytest.mark.parametrize("xi", [1e-3, 0.7, 12.0])
+    def test_linear_reduced_denominator(self, xi):
+        # C = 0: the reduced denominator 1 + i xi l has the one root i / xi
+        got = _quadratic_roots(-0.0 * xi * xi, 1j * xi, 1.0)
+        assert len(got) == 1
+        assert abs(got[0] - 1j / xi) <= 1e-15 * abs(1j / xi)
+        assert np.allclose(got, np.roots([1j * xi, 1.0]), rtol=1e-15, atol=0.0)
+
+    def test_no_cancellation_when_b2_dominates(self):
+        # x^2 + 1e9 x + 1: the naive formula loses the small root to cancellation
+        small, large = sorted(_quadratic_roots(1.0, 1e9, 1.0), key=abs)
+        assert small == pytest.approx(-1e-9, rel=1e-15)
+        assert large == pytest.approx(-1e9, rel=1e-15)
+        assert sorted_roots((small, large)) == pytest.approx(
+            sorted_roots(np.roots([1.0, 1e9, 1.0])), rel=1e-14)
+
+    def test_no_overflow_in_the_discriminant(self):
+        # the direct-form coefficients of one focus 1e200 m away: c1^2 alone
+        # overflows
+        small, large = sorted(_quadratic_roots(1e-14, 1e186, 1e184), key=abs)
+        assert small == pytest.approx(-1e-2, rel=1e-15)
+        assert large == pytest.approx(-1e200, rel=1e-15)
+
+
+class TestDirectIntegrandPieces:
+    def test_coefficients_match_beam_parameter_product(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            Lz = 10 ** rng.uniform(-3, -1.5)
+            beams = equal_focus_triple(Lz, 10 ** rng.uniform(-1, 1),
+                                       n=tuple(rng.uniform(1.5, 2.3, 3)),
+                                       z0=tuple(rng.uniform(-0.3, 0.3, 3) * Lz))
+            z = rng.uniform(-0.5, 0.5, 64) * Lz
+            qb_p = scaled_beam_parameter(beams.pump, z)
+            qb_1c = np.conj(scaled_beam_parameter(beams.signal, z))
+            qb_2c = np.conj(scaled_beam_parameter(beams.idler, z))
+            want = qb_p * qb_1c + qb_p * qb_2c + qb_1c * qb_2c
+            c2, c1, c0 = _direct_coefficients(beams)
+            got = (c2 * z + c1) * z + c0
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("per_domain_width", [1.0, 0.3])
+    def test_panel_signs_match_poling_profile(self, per_domain_width):
+        # 1 mm holds 219.78 half-periods of 9.1 um: the last domain is partial
+        Lz, period = 1e-3, 9.1e-6
+        edges, signs = _domain_panels(Lz, period, per_domain_width * 0.5 * period)
+        assert len(signs) == len(edges) - 1
+        for order in (8, 16):
+            nodes, _ = panel_nodes(edges, order)
+            want = poling_profile(nodes, period, Lz)
+            assert np.array_equal(np.repeat(signs, order), want)
+
+    def test_unpoled_layout_has_no_signs(self):
+        edges, signs = _domain_panels(1e-2, None, 3e-3)
+        assert signs is None
+        assert np.allclose(np.diff(edges), 2.5e-3, rtol=1e-12, atol=0.0)
+
+
+def extreme_beams(crystal_length=1e-2, waist=None, z0=0.0, indices=None):
+    """PPKTP-like type-II beams with one extreme field."""
+    from conftest import LAMBDA_1, LAMBDA_2, LAMBDA_P, N_1, N_2, N_P
+
+    waists = (30e-6, 40e-6, 40e-6) if waist is None else (waist,) * 3
+    modes = [GaussianMode(lam, n, w, z0=z0) for lam, n, w in
+             zip((LAMBDA_P, LAMBDA_1, LAMBDA_2), indices or (N_P, N_1, N_2), waists)]
+    return BeamTriple(*modes, crystal_length=crystal_length)
+
+
+@pytest.mark.parametrize("beams", [
+    extreme_beams(crystal_length=1e300),
+    extreme_beams(crystal_length=1e-300),
+    extreme_beams(waist=1e-160),
+    # equal indices make k_p = k_1 + k_2 exact, so c2 is 0 as well as c1, c0
+    extreme_beams(waist=1e-160, indices=(1.8, 1.8, 1.8)),
+    extreme_beams(z0=1e200),
+], ids=["length-1e300", "length-1e-300", "waist-1e-160", "waist-1e-160-matched",
+        "foci-at-1e200"])
+@pytest.mark.parametrize("delta_k", [0.0, 150.0])
+def test_extreme_beams_raise_typed_or_stay_finite(ppktp_material, beams, delta_k):
+    # pytest turns every RuntimeWarning into an error, so an overflow inside
+    # numpy fails here as well as a non-finite result
+    def direct():
+        return overlap_direct(beams, ppktp_material, delta_k)
+
+    def simplified():
+        params = overlap_params(beams, delta_k=delta_k)
+        return overlap_simplified(params, ppktp_material.chi2_eff, *beams.waists(),
+                                  beams.crystal_length)
+
+    for form in (direct, simplified):
+        try:
+            value = form()
+        except SpdcError:
+            continue
+        assert math.isfinite(abs(value))
 
 
 def displace(beams, roles, z0):
