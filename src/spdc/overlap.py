@@ -7,12 +7,11 @@ l = 2z/Lz with aggregate parameters (xi, C, D) (Bennink, Phys. Rev. A 81,
 053805 (2010)). Their agreement cross-checks the parameter algebra.
 
 Both denominators are quadratics held as complex coefficients (c2, c1, c0):
-the direct one expanded from the linear beam parameters, the reduced one
-(-C xi^2, i xi, 1). ``_panel_width`` takes their roots in closed form, so a
-panel spans at most ~pi of phase and half the distance to the nearest root,
-and one ``quadrature.complex_quad`` pass evaluates one Horner polynomial,
-one exp and one division per node. A poled crystal's domains are split
-alike, so each panel has one poling sign.
+the reduced one (-C xi^2, i xi, 1), the direct one expanded from the linear
+beam parameters. Their closed-form roots size the panels (at most ~pi of
+phase and half the distance to the nearest root; a poled crystal's domains
+split alike, one sign per panel), and one ``quadrature.complex_quad`` pass
+evaluates one Horner polynomial, one exp and one division per node.
 """
 
 from __future__ import annotations
@@ -248,8 +247,9 @@ def _domain_panels(Lz: float, period: float | None, width: float) -> tuple:
     walls = np.concatenate(([-0.5 * Lz], domain_walls(period, Lz), [0.5 * Lz]))
     steps = np.arange(per_domain) / per_domain
     edges = np.append(walls[:-1, None] + np.outer(np.diff(walls), steps), walls[-1])
-    signs = np.repeat(1.0 - 2.0 * (np.arange(len(walls) - 1) % 2), per_domain)
-    return edges, (None if period is None else signs)
+    if period is None:
+        return edges, None
+    return edges, np.repeat(1.0 - 2.0 * (np.arange(len(walls) - 1) % 2), per_domain)
 
 
 def overlap_simplified(params: OverlapParams, chi_eff: float, w_p: float, w_1: float,

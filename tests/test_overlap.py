@@ -41,6 +41,8 @@ from spdc.overlap import (
 from spdc.quadrature import MAX_PANELS, ell_integral, panel_nodes
 from spdc.rates import equal_focus_beams, overlap_value, pairs_closed_form
 
+from conftest import LAMBDA_1, LAMBDA_2, LAMBDA_P, N_1, N_2, N_P
+
 
 def random_inputs(rng):
     k = rng.uniform(3e6, 3e7, 3)
@@ -531,8 +533,6 @@ class TestDirectIntegrandPieces:
 
 def extreme_beams(crystal_length=1e-2, waist=None, z0=0.0, indices=None):
     """PPKTP-like type-II beams with one extreme field."""
-    from conftest import LAMBDA_1, LAMBDA_2, LAMBDA_P, N_1, N_2, N_P
-
     waists = (30e-6, 40e-6, 40e-6) if waist is None else (waist,) * 3
     modes = [GaussianMode(lam, n, w, z0=z0) for lam, n, w in
              zip((LAMBDA_P, LAMBDA_1, LAMBDA_2), indices or (N_P, N_1, N_2), waists)]
