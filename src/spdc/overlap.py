@@ -10,8 +10,9 @@ Both denominators are quadratics held as complex coefficients (c2, c1, c0):
 the reduced one (-C xi^2, i xi, 1), the direct one expanded from the linear
 beam parameters. Their closed-form roots size the panels (at most ~pi of
 phase and half the distance to the nearest root; a poled crystal's domains
-split alike, one sign per panel), and one ``quadrature.complex_quad`` pass
-evaluates one Horner polynomial, one exp and one division per node.
+split alike, one sign per panel, which ``quadrature.complex_quad`` applies),
+and the integrand is one Horner polynomial, one exp and one division per
+node.
 """
 
 from __future__ import annotations
@@ -216,14 +217,10 @@ def _panel_width(coeffs: tuple, lo: float, hi: float, rate: float) -> float:
     return width if rate == 0.0 else min(width, _MAX_PANEL_PHASE / abs(rate))
 
 
-def _integrand(coeffs: tuple, rate: float, signs=None):
-    """x -> exp(-i rate x) / ((c2 x + c1) x + c0), each panel's nodes times its sign."""
+def _integrand(coeffs: tuple, rate: float):
+    """x -> exp(-i rate x) / ((c2 x + c1) x + c0)."""
     c2, c1, c0 = coeffs
-
-    def f(x):
-        value = np.exp(-1j * rate * x) / ((c2 * x + c1) * x + c0)
-        return value if signs is None else np.repeat(signs, x.size // signs.size) * value
-    return f
+    return lambda x: np.exp(-1j * rate * x) / ((c2 * x + c1) * x + c0)
 
 
 def _direct_coefficients(beams: BeamTriple) -> tuple:
@@ -299,6 +296,6 @@ def overlap_direct(beams: BeamTriple, material: MaterialOptics, delta_k: float,
     coeffs = _direct_coefficients(beams)
     width = _panel_width(coeffs, -0.5 * Lz, 0.5 * Lz, delta_k)
     edges, signs = _domain_panels(Lz, material.poling_period, width)
-    value, _err = complex_quad(_integrand(coeffs, delta_k, signs), edges, quad_tol)
+    value, _err = complex_quad(_integrand(coeffs, delta_k), edges, quad_tol, signs)
     w_p, w_1, w_2 = beams.waists()
     return -1j * material.chi2_eff * math.sqrt(8.0 / math.pi) * w_p * w_1 * w_2 * value

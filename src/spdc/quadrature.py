@@ -8,8 +8,9 @@ batches of axial integrals inside the brute-force rate integrals (one rule
 per call, sized by the call's largest |phi|, with its weights row cached
 by rule, xi and C), and ``panel_edges``/``panel_nodes`` for the layouts.
 No layout may hold more than ``MAX_PANELS`` panels; one that would raises
-before its nodes are built. Summation order is fixed everywhere, so
-results are deterministic.
+before its nodes are built. ``complex_quad`` walks a long layout in blocks
+of ``_BLOCK_PANELS`` panels, so its arrays stay small whatever the layout.
+Summation order is fixed everywhere, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -43,10 +44,14 @@ def _ell_weights(n: int, xi: float, C: float):
     return g
 
 
-# panels one layout may hold; at the cap an order-16 pass has 800,000 nodes
+# panels one layout may hold
 MAX_PANELS = 50_000
 # the lower of the two Gauss-Legendre orders complex_quad compares
 _PANEL_ORDER = 8
+# panels complex_quad evaluates at once: an order-16 block is 4096 nodes, 64 KiB
+# of complex values, which stays in cache and in malloc's reused heap instead
+# of mapping and faulting in fresh pages for each array of a long layout
+_BLOCK_PANELS = 256
 
 
 def _check_panel_count(count: float):
@@ -57,14 +62,21 @@ def _check_panel_count(count: float):
         )
 
 
-def complex_quad(f, edges, tol: float):
+def _times_sign(values, sign):
+    """Panel-major ``values`` times a column of per-panel factors; unchanged for None."""
+    return values if sign is None else (values.reshape(sign.size, -1) * sign).ravel()
+
+
+def complex_quad(f, edges, tol: float, signs=None):
     """Integrate a vectorised complex integrand over the panels between ``edges``.
 
     ``f`` takes an array of abscissae and returns the integrand there. It is
-    called twice: on the order-8 and on the order-16 Gauss-Legendre nodes of
-    every panel. The order-16 sum is the value and its distance from the
-    order-8 sum the error estimate. ``tol`` is relative to the larger of
-    |value| and the order-16 sum of |f|, which stays away from zero where an
+    called on the order-8 and on the order-16 Gauss-Legendre nodes of every
+    block of at most ``_BLOCK_PANELS`` panels. ``signs``, if given, holds
+    one real factor per panel that multiplies f on that panel (a poling
+    sign). The order-16 sum is the value and its distance from the order-8
+    sum the error estimate. ``tol`` is relative to the larger of |value|
+    and the order-16 sum of |f|, which stays away from zero where an
     oscillating integrand cancels. Returns (value, error_estimate). Raises
     QuadratureError, carrying the estimate, when the estimate is over that
     budget or not finite, and before evaluating anything when ``edges`` has
@@ -72,14 +84,22 @@ def complex_quad(f, edges, tol: float):
     """
     if not (tol > 0.0):
         raise QuadratureError(f"quadrature tolerance must be positive, got {tol}")
-    _check_panel_count(len(edges) - 1)
-    nodes, weights = panel_nodes(edges, _PANEL_ORDER)
-    coarse = complex(weights @ f(nodes))
-    nodes, weights = panel_nodes(edges, 2 * _PANEL_ORDER)
-    values = f(nodes)
-    value = complex(weights @ values)
+    n_panels = len(edges) - 1
+    _check_panel_count(n_panels)
+    coarse = value = 0j
+    scale = 0.0
+    for lo in range(0, n_panels, _BLOCK_PANELS):
+        block = edges[lo:lo + _BLOCK_PANELS + 1]
+        sign = None if signs is None else signs[lo:lo + _BLOCK_PANELS, None]
+        nodes, weights = panel_nodes(block, _PANEL_ORDER)
+        coarse += weights @ _times_sign(f(nodes), sign)
+        nodes, weights = panel_nodes(block, 2 * _PANEL_ORDER)
+        values = _times_sign(f(nodes), sign)
+        value += weights @ values
+        scale += weights @ np.abs(values)
+    value, coarse = complex(value), complex(coarse)
     err = abs(value - coarse)
-    budget = tol * max(abs(value), float(weights @ np.abs(values)))
+    budget = tol * max(abs(value), float(scale))
     if not (math.isfinite(err) and err <= budget):
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} exceeds budget {budget:.3e}",

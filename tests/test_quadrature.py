@@ -224,3 +224,31 @@ class TestComplexQuad:
         with pytest.raises(QuadratureError, match="cap"):
             complex_quad(calls.append, np.linspace(0.0, 1.0, MAX_PANELS + 2), tol=1e-9)
         assert calls == []
+
+    def test_long_layout_runs_in_bounded_blocks(self):
+        # 1000 panels: four blocks, each call on at most one block's nodes
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(1j * x)
+
+        edges = np.linspace(0.0, 10.0, 1001)
+        value, _ = complex_quad(f, edges, tol=1e-12)
+        assert max(sizes) == 16 * quadrature._BLOCK_PANELS
+        assert sum(sizes) == 24 * 1000
+        assert abs(value - (np.exp(10j) - 1.0) / 1j) <= 1e-13
+
+    def test_signs_multiply_their_panels_across_blocks(self):
+        # 700 panels of width pi, three blocks: sin integrates to 2 (-1)^k on
+        # panel k, so with signs (-1)^k every panel adds 2
+        n = 700
+        edges = np.linspace(0.0, n * math.pi, n + 1)
+        signs = 1.0 - 2.0 * (np.arange(n) % 2)
+
+        def f(x):
+            return np.sin(x) + 0j
+
+        value, err = complex_quad(f, edges, tol=1e-12, signs=signs)
+        assert abs(value - 2.0 * n) <= 1e-12 * 2.0 * n
+        assert err <= 1e-12 * 2.0 * n
