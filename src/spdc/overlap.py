@@ -4,7 +4,10 @@ The overlap against exp(-i dk z) over the crystal sets the absolute pair
 rate. ``overlap_direct`` integrates the product of the three beam parameters
 along z; ``overlap_simplified`` integrates the reduced axial form over
 l = 2z/Lz with aggregate parameters (xi, C, D) (Bennink, Phys. Rev. A 81,
-053805 (2010)). Their agreement cross-checks the parameter algebra.
+053805 (2010)). Their agreement cross-checks the parameter algebra, which
+``aggregate_parameters`` writes once, for floats and arrays alike, with
+(xi, C, D, A+B+) unchecked; ``overlap_params`` and the four one-value
+helpers raise DegenerateConfigurationError naming each one not finite.
 
 Both denominators are quadratics held as complex coefficients (c2, c1, c0):
 the reduced one (-C xi^2, i xi, 1), the direct one expanded from the linear
@@ -55,30 +58,50 @@ class OverlapParams:
     phi: float
 
 
-def _xi_numerator(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
+_PARAMETER_NAMES = ("xi_agg", "C_quad", "D_norm", "a_plus_b_plus")
+
+
+def aggregate_parameters(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz=1.0) -> tuple:
+    """(xi, C, D, A+B+) of the three beams, unchecked; floats or arrays that broadcast.
+
+    With sigma = k1 x1 + k2 x2 + kp xp and
+    u = k1 x1 (x2 - xp) + k2 x2 (x1 - xp) + kp xp (x1 + x2):
+    xi = u / sigma, C = (kp - k1 - k2) x1 x2 xp sigma / u^2,
+    D = kp k1 k2 xp x1 x2 / (Lz sigma) and A+B+ = sigma u / (kp^2 x1 x2 xp).
+    Python floats raise ZeroDivisionError on a zero divisor; arrays give
+    whatever numpy's division gives there.
+    """
+    sigma = k_1 * xi_1 + k_2 * xi_2 + k_p * xi_p
+    u = k_1 * xi_1 * (xi_2 - xi_p) + k_2 * xi_2 * (xi_1 - xi_p) + k_p * xi_p * (xi_1 + xi_2)
     return (
-        k_1 * xi_1 * (xi_2 - xi_p)
-        + k_2 * xi_2 * (xi_1 - xi_p)
-        + k_p * xi_p * (xi_1 + xi_2)
+        u / sigma,
+        (k_p - k_1 - k_2) * xi_1 * xi_2 * xi_p * sigma / (u * u),
+        k_p * k_1 * k_2 * xi_p * xi_1 * xi_2 / (Lz * sigma),
+        sigma * u / (k_p * k_p * xi_1 * xi_2 * xi_p),
     )
 
 
-def _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
-    return k_1 * xi_1 + k_2 * xi_2 + k_p * xi_p
+def _checked_parameters(args: tuple, checked=range(4)) -> tuple:
+    """``aggregate_parameters(*args)``, raising DegenerateConfigurationError that
+    names each value at the ``checked`` positions that is not finite."""
+    try:
+        values = aggregate_parameters(*args)
+    except ZeroDivisionError:  # rerun where a zero divisor gives inf or NaN
+        with np.errstate(all="ignore"):
+            values = tuple(map(float, aggregate_parameters(*map(np.float64, args))))
+    bad = [f"{_PARAMETER_NAMES[i]} = {values[i]}" for i in checked
+           if not math.isfinite(values[i])]
+    if bad:
+        raise DegenerateConfigurationError(
+            f"aggregate parameters not finite: {', '.join(bad)}; a wavevector or "
+            "focal parameter is zero or over- or underflows"
+        )
+    return values
 
 
 def aggregate_focal_parameter(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
-    """Aggregate focal parameter of the three-beam overlap.
-
-    xi = [k1 x1 (x2 - xp) + k2 x2 (x1 - xp) + kp xp (x1 + x2)]
-         / (k1 x1 + k2 x2 + kp xp)
-    """
-    den = _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    if den == 0.0:
-        raise DegenerateConfigurationError(
-            "k1*xi1 + k2*xi2 + kp*xip vanishes; focal parameters degenerate"
-        )
-    return _xi_numerator(k_p, k_1, k_2, xi_p, xi_1, xi_2) / den
+    """Aggregate focal parameter xi of the three-beam overlap (``aggregate_parameters``)."""
+    return _checked_parameters((k_p, k_1, k_2, xi_p, xi_1, xi_2), (0,))[0]
 
 
 def quadratic_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
@@ -87,14 +110,7 @@ def quadratic_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
     Proportional to (kp - k1 - k2), so exactly zero at perfect collinear
     wavevector matching.
     """
-    num = _xi_numerator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    den = num * num
-    if den == 0.0:
-        raise DegenerateConfigurationError(
-            "squared aggregate-xi numerator vanishes; quadratic coefficient undefined"
-        )
-    sigma = _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    return (k_p - k_1 - k_2) * xi_1 * xi_2 * xi_p * sigma / den
+    return _checked_parameters((k_p, k_1, k_2, xi_p, xi_1, xi_2), (1,))[1]
 
 
 def normalization_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz) -> float:
@@ -104,12 +120,7 @@ def normalization_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz) -> float:
     """
     if Lz <= 0.0:
         raise DegenerateConfigurationError(f"Lz must be positive, got {Lz}")
-    den = Lz * _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    if den == 0.0:
-        raise DegenerateConfigurationError(
-            "Lz (k1*xi1 + k2*xi2 + kp*xip) vanishes; normalization degenerate"
-        )
-    return k_p * k_1 * k_2 * xi_p * xi_1 * xi_2 / den
+    return _checked_parameters((k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz), (2,))[2]
 
 
 def a_plus_b_plus(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
@@ -118,15 +129,7 @@ def a_plus_b_plus(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
     Satisfies xi / (A+B+) = kp^2 x1 x2 xp / (k1 x1 + k2 x2 + kp xp)^2 and
     equals 4 for equal focal parameters under collinear matching.
     """
-    den = k_p * k_p * xi_1 * xi_2 * xi_p
-    if den == 0.0:
-        raise DegenerateConfigurationError(
-            "A+B+ undefined: kp^2 xi1 xi2 xip vanishes (a zero or underflowing "
-            "pump wavevector or focal parameter)"
-        )
-    sigma = _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    num = _xi_numerator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    return sigma * num / den
+    return _checked_parameters((k_p, k_1, k_2, xi_p, xi_1, xi_2), (3,))[3]
 
 
 def phase_mismatch_coefficients(ng_p, ng_1, ng_2, Lz, c) -> tuple:
@@ -154,16 +157,10 @@ def overlap_params(beams: BeamTriple, delta_k: float = 0.0) -> OverlapParams:
             f"the reduced overlap needs every focus at the crystal centre, got "
             f"z0 = {z0s} m (pump, signal, idler); use overlap_direct"
         )
-    k_p, k_1, k_2 = beams.wavevectors()
-    xi_p, xi_1, xi_2 = beams.xi_p, beams.xi_1, beams.xi_2
-    Lz = beams.crystal_length
-    return OverlapParams(
-        xi_agg=aggregate_focal_parameter(k_p, k_1, k_2, xi_p, xi_1, xi_2),
-        C_quad=quadratic_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2),
-        D_norm=normalization_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz),
-        a_plus_b_plus=a_plus_b_plus(k_p, k_1, k_2, xi_p, xi_1, xi_2),
-        phi=delta_k * Lz,
-    )
+    xi, C, D, ab = _checked_parameters(
+        (*beams.wavevectors(), beams.xi_p, beams.xi_1, beams.xi_2, beams.crystal_length))
+    return OverlapParams(xi_agg=xi, C_quad=C, D_norm=D, a_plus_b_plus=ab,
+                         phi=delta_k * beams.crystal_length)
 
 
 def overlap_prefactor(chi_eff: float, waists: tuple, D_norm: float) -> complex:

@@ -150,20 +150,13 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
         x, _ = gauss_legendre(n)
         return complex(_ell_weights(n, xi, C) @ np.exp(-0.5j * (x * phi)))
     phi_arr = np.asarray(phi, dtype=float)
+    a = np.asarray([0.0] if offsets is None else offsets, dtype=float).ravel()
     b = phi_arr.ravel()
-    finite_b = b[np.isfinite(b)]
-    if offsets is None:
-        a, shape = None, phi_arr.shape
-        # the largest finite |0 + b_k|; -1 when there is none
-        peak = float(np.abs(finite_b).max(initial=-1.0))
-    else:
-        a = np.asarray(offsets, dtype=float).ravel()
-        shape = a.shape + phi_arr.shape
-        finite_a = a[np.isfinite(a)]
-        # a_j + b_k spans [min a + min b, max a + max b]
-        peak = (max(abs(finite_a.max() + finite_b.max()),
-                    abs(finite_a.min() + finite_b.min()))
-                if finite_a.size and finite_b.size else -1.0)
+    shape = (() if offsets is None else a.shape) + phi_arr.shape
+    finite_a, finite_b = a[np.isfinite(a)], b[np.isfinite(b)]
+    # a_j + b_k spans [min a + min b, max a + max b]; -1 when no sum is finite
+    peak = (max(abs(finite_a.max() + finite_b.max()), abs(finite_a.min() + finite_b.min()))
+            if finite_a.size and finite_b.size else -1.0)
     if peak < 0.0:  # no finite phase: nothing to integrate
         out = np.full(shape, complex(math.nan, math.nan))
         return complex(out) if out.ndim == 0 else out
@@ -172,8 +165,7 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     g = _ell_weights(n, xi, C)
     # a NaN or infinite phase turns its row or column of the product NaN
     with np.errstate(invalid="ignore"):
-        # the plain call's zero offset multiplies by exp(0) = 1
-        rows = g[None, :] if a is None else np.exp(-0.5j * np.outer(a, x)) * g
+        rows = np.exp(-0.5j * np.outer(a, x)) * g
         out = np.empty((len(rows), b.size), dtype=complex)
         # chunk the (nodes x columns) factor and the result block to bound memory
         block = max(1, int(2.0e6 / (n + len(rows))))

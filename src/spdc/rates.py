@@ -32,8 +32,7 @@ from .beams import BeamTriple, GaussianMode
 from .errors import DegenerateDispersionError, DomainError, QuadratureError
 from .materials import CONSTANTS, MaterialOptics, PhysicalConstants
 from .overlap import (
-    _xi_denominator,
-    _xi_numerator,
+    aggregate_parameters,
     overlap_params,
     overlap_prefactor,
     phase_mismatch_coefficients,
@@ -207,18 +206,12 @@ def closed_form_kernel(
     xi_p = Lz / (k_p * w_p * w_p)
     xi_1 = Lz / (k_1 * w_1 * w_1)
     xi_2 = Lz / (k_2 * w_2 * w_2)
-    # aggregate_focal_parameter and a_plus_b_plus, without their raises
-    num = _xi_numerator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    sigma = _xi_denominator(k_p, k_1, k_2, xi_p, xi_1, xi_2)
-    ab_den = k_p * k_p * xi_1 * xi_2 * xi_p
-    xi = num / sigma
-    ab = sigma * num / ab_den
+    xi, C, D, ab = aggregate_parameters(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz)
     n_pairs, rate = _closed_form(material, modes, xi, ab, constants)
-    # the divisors overlap_params checks, then the checks on the result
+    # the finite parameters overlap_params checks, then pairs_closed_form's checks
     ok = (
-        ok & (sigma != 0.0) & (num * num != 0.0) & (Lz * sigma != 0.0)
-        & (ab_den != 0.0) & (0.0 < xi) & (xi < inf) & (0.0 < ab) & (ab < inf)
-        & (abs(rate) < inf)
+        ok & np.isfinite(C) & np.isfinite(D) & (0.0 < xi) & (xi < inf)
+        & (0.0 < ab) & (ab < inf) & (abs(rate) < inf)
     )
     return n_pairs, rate, xi, ab, ok
 

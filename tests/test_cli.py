@@ -455,8 +455,8 @@ class TestScanRowsMatchLibrary:
         ("waist", 1e-300, 1e300, 1201, True,
          {"ok", "DomainError", "DegenerateConfigurationError"}),
         ("Lz", -1.0, 1.0, 801, False, {"ok", "DomainError"}),
-        ("Lz", 1e-300, 1e300, 1201, True,
-         {"ok", "DomainError", "DegenerateConfigurationError"}),
+        # huge Lz overflows the aggregate parameters, which overlap_params names
+        ("Lz", 1e-300, 1e300, 1201, True, {"ok", "DegenerateConfigurationError"}),
         ("xi", 1e-320, 1e-300, 401, True, {"DomainError", "DegenerateConfigurationError"}),
     ], ids=["waist_signs", "waist_log", "Lz_signs", "Lz_log", "xi_subnormal"])
     def test_hostile_grids(self, capsys, config_path, variable, lo, hi, points, log,

@@ -96,6 +96,36 @@ class TestGroupIndex:
             group_index(model, hi)
 
 
+class TestSellmeierForm:
+    """The ``sellmeier`` form, on Schott's N-BK7 fit (wavelength squared in um^2)."""
+
+    B = (1.03961212, 0.231792344, 1.01046945)
+    C = (6.00069867e-3, 2.00179144e-2, 103.560653)
+    BK7 = DispersionModel("N-BK7", "", "sellmeier",
+                          (1.0, B[0], C[0], B[1], C[1], B[2], C[2]), (0.3e-6, 2.5e-6))
+
+    def test_index_is_the_formula(self):
+        for lam in np.random.default_rng(41).uniform(0.31e-6, 2.49e-6, 100):
+            L = (lam * 1e6) ** 2
+            n2 = 1.0 + sum(b * L / (L - c) for b, c in zip(self.B, self.C))
+            assert refractive_index(self.BK7, lam) == pytest.approx(math.sqrt(n2), rel=1e-15)
+        # catalogue n_d at the helium d line
+        assert refractive_index(self.BK7, 587.56e-9) == pytest.approx(1.5168, abs=1e-4)
+
+    def test_group_index_matches_finite_difference(self):
+        for lam in np.random.default_rng(42).uniform(0.32e-6, 2.4e-6, 100):
+            h = lam * 1e-6
+            fd = refractive_index(self.BK7, lam) - lam * (
+                refractive_index(self.BK7, lam + h) - refractive_index(self.BK7, lam - h)
+            ) / (2.0 * h)
+            assert abs(group_index(self.BK7, lam) - fd) <= 1e-8 * fd
+
+    def test_even_coefficient_count_rejected(self):
+        with pytest.raises(ConfigError, match="odd coefficient count"):
+            DispersionModel("N-BK7", "", "sellmeier", self.BK7.coefficients[:-1],
+                            self.BK7.valid_range)
+
+
 class TestWavenumber:
     """The in-medium wavevector k = 2 pi n / lambda, held by ``GaussianMode.k``."""
 

@@ -568,6 +568,23 @@ def test_extreme_beams_raise_typed_or_stay_finite(ppktp_material, beams, delta_k
         assert math.isfinite(abs(value))
 
 
+@pytest.mark.parametrize("beams", [
+    extreme_beams(crystal_length=1e300),
+    extreme_beams(waist=1e-160),
+], ids=["length-1e300", "waist-1e-160"])
+def test_overflowing_parameters_are_named(ppktp_material, beams):
+    # every xi_j is inf, so sigma and u are too and all four quotients are NaN
+    def simplified():
+        return overlap_simplified(overlap_params(beams), ppktp_material.chi2_eff,
+                                  *beams.waists(), beams.crystal_length)
+
+    for call in (lambda: overlap_params(beams),
+                 lambda: pairs_closed_form(ppktp_material, beams), simplified):
+        with pytest.raises(DegenerateConfigurationError,
+                           match="xi_agg = nan, C_quad = nan, D_norm = nan, a_plus_b_plus = nan"):
+            call()
+
+
 def displace(beams, roles, z0):
     """``beams`` with the foci of the named modes moved to ``z0``."""
     return dataclasses.replace(beams, **{
