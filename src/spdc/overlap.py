@@ -83,7 +83,11 @@ def aggregate_parameters(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz=1.0) -> tuple:
 
 def _checked_parameters(args: tuple, checked=range(4)) -> tuple:
     """``aggregate_parameters(*args)``, raising DegenerateConfigurationError that
-    names each value at the ``checked`` positions that is not finite."""
+    names each value at the ``checked`` positions that is not finite.
+
+    The arguments run as Python floats, numpy scalars too, so that a zero
+    divisor raises ZeroDivisionError instead of warning."""
+    args = tuple(map(float, args))
     try:
         values = aggregate_parameters(*args)
     except ZeroDivisionError:  # rerun where a zero divisor gives inf or NaN

@@ -4,9 +4,13 @@ Everything here is a fixed-order Gauss-Legendre rule on a panel layout the
 caller chooses, evaluated on whole arrays of nodes at once: ``complex_quad``
 for the one-off overlap integrals, which compares the order-8 and order-16
 sums over the same panels for its error estimate, ``ell_integral`` for the
-batches of axial integrals inside the brute-force rate integrals (one rule
-per call, sized by the call's largest |phi|, with its weights row cached
-by rule, xi and C), and ``panel_edges``/``panel_nodes`` for the layouts.
+batches of axial integrals inside the brute-force rate integrals, and
+``panel_edges``/``panel_nodes`` for the layouts. ``ell_integral`` uses one
+rule per call, sized by the call's largest |phi|, with its weights row
+cached by rule, xi and C. Its integrand takes conjugate values at l and
+-l, so the axial integral is real: the rule is folded onto its nodes
+x >= 0, and J offsets by M phases on an n-node rule cost
+(J + M) ceil(n / 2) complex exponentials and one real matrix product.
 No layout may hold more than ``MAX_PANELS`` panels; one that would raises
 before its nodes are built. ``complex_quad`` walks a long layout in blocks
 of ``_BLOCK_PANELS`` panels, so its arrays stay small whatever the layout.
@@ -33,13 +37,18 @@ def gauss_legendre(n: int):
 
 @lru_cache(maxsize=64)
 def _ell_weights(n: int, xi: float, C: float):
-    """Read-only weights row g = w / (1 + i x xi - C xi^2 x^2) of ``ell_integral``'s n-node rule.
+    """Read-only weights row of ``ell_integral``'s n-node rule, folded onto x >= 0.
 
-    Cached, so that a scan calling ``ell_integral`` once per phase at one
-    (xi, C) builds it once; a hit returns the very array a miss built.
+    Over the nodes x >= 0 of the rule, g = 2 w / (1 + i x xi - C xi^2 x^2),
+    and g = w at the middle node x = 0 of an odd rule, which pairs with
+    itself. The row holds (Re g_1, Im g_1, Re g_2, ...) as floats. Cached,
+    so that a scan calling ``ell_integral`` once per phase at one (xi, C)
+    builds it once; a hit returns the very array a miss built.
     """
     x, w = gauss_legendre(n)
-    g = w / (1.0 + 1j * x * xi - C * (xi * xi) * (x * x))
+    x, w = x[n // 2:], w[n // 2:]
+    g = np.where(x > 0.0, 2.0 * w, w) / (1.0 + 1j * x * xi - C * (xi * xi) * (x * x))
+    g = g.view(float)
     g.flags.writeable = False
     return g
 
@@ -132,13 +141,23 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     returns complex of the same shape. NaN or infinite phases give NaN; a
     phase or xi needing over 4000 nodes raises DomainError.
 
+    For real phi, xi and C the integrand f obeys f(-l) = conj f(l), so I is
+    real: the nodes +x and -x share their weight, and their two terms sum
+    to twice the weight times Re f(x). The rule is therefore summed over
+    its h = ceil(n / 2) nodes x >= 0 (the middle node of an odd rule counts
+    once), and the returned imaginary part is exactly 0 for every finite
+    phase.
+
     With ``offsets`` (a 1-D sequence a_j), returns I(offsets[j] + phi[k])
     with shape ``(len(offsets),) + phi.shape``. The exponential factors,
-    exp(-i (a + b) l / 2) = exp(-i a l / 2) exp(-i b l / 2), so the rule
-    of n nodes costs (J + M) n exponentials and one (J x n) @ (n x M)
-    product instead of J M n exponentials. The plain call is the
-    ``offsets = [0]`` case. The weights row of each (rule, xi, C) is
-    cached, and one float phase skips the array bookkeeping; neither
+    exp(-i (a + b) x / 2) = exp(-i a x / 2) exp(-i b x / 2): with the
+    folded weights g (``_ell_weights``) and r_j = exp(-i a_j x / 2) g, the
+    node x adds Re(r_j exp(-i b_k x / 2)) = Re r_j cos(b_k x / 2) +
+    Im r_j sin(b_k x / 2). So the call costs (J + M) h complex
+    exponentials, exp(+i b_k x / 2) read as (cos, sin) pairs, and one real
+    (J x 2h) @ (2h x M) product, instead of J M n exponentials. The plain
+    call is the ``offsets = [0]`` case. The weights row of each (rule, xi,
+    C) is cached, and one float phase skips the array bookkeeping; neither
     changes a bit of the result.
     """
     if offsets is None and isinstance(phi, (int, float)):
@@ -147,8 +166,8 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
         if not math.isfinite(phi):
             return complex(math.nan, math.nan)
         n = _ell_rule_size(abs(phi), abs(xi))
-        x, _ = gauss_legendre(n)
-        return complex(_ell_weights(n, xi, C) @ np.exp(-0.5j * (x * phi)))
+        x = gauss_legendre(n)[0][n // 2:]
+        return complex(_ell_weights(n, xi, C) @ np.exp(0.5j * (x * phi)).view(float))
     phi_arr = np.asarray(phi, dtype=float)
     a = np.asarray([0.0] if offsets is None else offsets, dtype=float).ravel()
     b = phi_arr.ravel()
@@ -161,19 +180,21 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
         out = np.full(shape, complex(math.nan, math.nan))
         return complex(out) if out.ndim == 0 else out
     n = _ell_rule_size(float(peak), abs(xi))
-    x, _ = gauss_legendre(n)
-    g = _ell_weights(n, xi, C)
+    x = gauss_legendre(n)[0][n // 2:]
+    g = _ell_weights(n, xi, C).view(complex)
     # a NaN or infinite phase turns its row or column of the product NaN
     with np.errstate(invalid="ignore"):
-        rows = np.exp(-0.5j * np.outer(a, x)) * g
-        out = np.empty((len(rows), b.size), dtype=complex)
+        # (Re r_j, Im r_j) interleaved per node, against (cos, sin) of b_k x / 2
+        rows = (np.exp(-0.5j * np.outer(a, x)) * g).view(float)
+        out = np.empty((len(rows), b.size))
         # chunk the (nodes x columns) factor and the result block to bound memory
         block = max(1, int(2.0e6 / (n + len(rows))))
         for start in range(0, b.size, block):
             cols = slice(start, start + block)
-            out[:, cols] = rows @ np.exp(-0.5j * np.outer(x, b[cols]))
-    out = out.reshape(shape)
-    return complex(out) if out.ndim == 0 else out
+            out[:, cols] = rows @ np.exp(0.5j * np.outer(b[cols], x)).view(float).T
+    result = out.astype(complex).reshape(shape)
+    result.imag[np.isnan(result.real)] = math.nan
+    return complex(result) if result.ndim == 0 else result
 
 
 def panel_count(length: float, max_width: float) -> int:

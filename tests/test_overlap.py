@@ -585,6 +585,27 @@ def test_overflowing_parameters_are_named(ppktp_material, beams):
             call()
 
 
+# every focal parameter zero, so each helper's divisor is zero
+ZERO_FOCUS = tuple(map(np.float64, (1.4e7, 7e6, 7e6, 0.0, 0.0, 0.0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: aggregate_focal_parameter(*ZERO_FOCUS),
+    lambda: quadratic_coefficient(*ZERO_FOCUS),
+    lambda: normalization_coefficient(*ZERO_FOCUS, np.float64(1e-2)),
+    lambda: a_plus_b_plus(*ZERO_FOCUS),
+    lambda: a_plus_b_plus(np.float64(1.4e7), 7e6, 7e6, 0.0, 0.5, 0.5),
+    # xi ~ 1e-298, so u and x1 x2 xp underflow to zero divisors
+    lambda: overlap_params(extreme_beams(crystal_length=np.float64(1e-300))),
+], ids=["aggregate_focal_parameter", "quadratic_coefficient",
+        "normalization_coefficient", "a_plus_b_plus", "a_plus_b_plus-pump-only",
+        "overlap_params"])
+def test_numpy_scalar_zero_divisor_raises_without_warning(call):
+    # pytest turns a RuntimeWarning from numpy's scalar division into an error
+    with pytest.raises(DegenerateConfigurationError, match="not finite"):
+        call()
+
+
 def displace(beams, roles, z0):
     """``beams`` with the foci of the named modes moved to ``z0``."""
     return dataclasses.replace(beams, **{
