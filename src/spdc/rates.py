@@ -337,8 +337,9 @@ def _bruteforce_rate(
     integral, and the error estimate adds the refinement difference, the
     next-order tail term and the pole lobe beyond the window. Each pass
     gets its whole table of axial integrals from one ``ell_integral`` call
-    with the pump rows as ``offsets``, so the exponentials number
-    (pump rows + dwm columns) per rule node.
+    with the pump rows as ``offsets``, so the complex exponentials number
+    (pump rows + dwm columns) per node x >= 0 of the folded rule, half the
+    rule's nodes, and the table is one real matrix product.
     """
     if not (quad_tol > 0.0):
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")

@@ -189,6 +189,51 @@ class TestRuleCap:
             ell_integral(np.array([0.0, 10.0]), 1.0, offsets=[0.0, 6000.0])
 
 
+class TestRealValue:
+    """f(-l) = conj f(l) for real phi, xi and C, so I is real and the rule folds."""
+
+    CASES = [(1e-3, 0.0), (1.0, 1e-3), (5.0, -0.01), (12.0, 0.05)]
+    # one rule per array call; the scalar phases stay on a few small rules
+    PHASES = np.concatenate((np.linspace(-600.0, 600.0, 241), [-0.0, 3.7, -41.0]))
+    SCALAR_PHASES = (-40.0, -3.7, -0.0, 0.0, 0.5, 17.0, 40.0)
+
+    @pytest.mark.parametrize("xi, C", CASES)
+    def test_imaginary_part_is_exactly_zero(self, xi, C):
+        for phi in self.SCALAR_PHASES:
+            assert ell_integral(phi, xi, C).imag == 0.0
+        assert np.all(ell_integral(self.PHASES, xi, C).imag == 0.0)
+        got = ell_integral(self.PHASES, xi, C, offsets=OFFSETS + 3.5)
+        assert np.all(got.imag == 0.0)
+
+    @pytest.mark.parametrize("phi, xi, parity", [
+        (100.0, 1.0, 0), (101.3, 1.0, 1), (100.0, 0.1, 1), (101.3, 0.1, 0),
+        (100.0, 5.0, 0), (101.3, 5.0, 1),
+    ])
+    def test_rule_of_either_parity_matches_the_exact_integral(self, phi, xi, parity):
+        # an odd rule's middle node x = 0 pairs with itself
+        assert quadrature._ell_rule_size(phi, xi) % 2 == parity
+        phases = np.array([-phi, -0.4 * phi, 0.7 * phi, phi])
+        got = ell_integral(phases, xi)
+        for value, p in zip((ell_integral(phi, xi), *got), (phi, *phases)):
+            assert value == pytest.approx(ell_integral_exact(p, xi), rel=1e-8)
+
+    @pytest.mark.parametrize("xi", [1e-3, 0.1, 1.0, 5.0, 12.0])
+    @pytest.mark.parametrize("C", [0.0, 1e-3, 0.05, 0.2, -0.01])
+    def test_equals_the_unfolded_complex_sum(self, xi, C):
+        def unfolded(b, a):
+            # the complex sum over all n nodes, factored as the offsets path is
+            n = quadrature._ell_rule_size(np.max(np.abs(np.add.outer(a, b))), xi)
+            x, w = quadrature.gauss_legendre(n)
+            rows = np.exp(-0.5j * np.outer(a, x)) * w / (1.0 + 1j * x * xi - C * xi * xi * x * x)
+            return rows @ np.exp(-0.5j * np.outer(x, b))
+
+        scale = abs(ell_integral(0.0, xi, C))
+        got = ell_integral(self.PHASES, xi, C)
+        assert np.max(np.abs(got - unfolded(self.PHASES, np.zeros(1))[0])) <= 1e-14 * scale
+        got = ell_integral(self.PHASES, xi, C, offsets=OFFSETS + 3.5)
+        assert np.max(np.abs(got - unfolded(self.PHASES, OFFSETS + 3.5))) <= 1e-14 * scale
+
+
 class TestComplexQuad:
     def test_exact_on_polynomials_below_degree_16(self):
         # the order-8 rule already integrates degree 15 exactly, so both
