@@ -19,8 +19,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
+from ._numpy import np
 from .config import ExperimentConfig, load_config, load_table_fixture
 from .errors import ConfigError, QuadratureError, SpdcError
 from .materials import CONSTANTS

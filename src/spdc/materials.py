@@ -33,8 +33,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConfigError, DomainError, WavelengthRangeError
 
 _M_PER_UM = 1e-6
@@ -246,6 +245,13 @@ class MaterialOptics:
         return 2.0 * self.d_eff
 
 
+def _range_grid(lo: float, hi: float) -> list:
+    """The 64 wavelengths of ``np.linspace(lo, hi, 64)``, bit for bit, in plain
+    Python: lo + i * step with step = (hi - lo) / 63, and the last one exactly hi."""
+    step = (hi - lo) / 63
+    return [lo + i * step for i in range(63)] + [hi]
+
+
 def _model_from_dict(raw: dict, source: str) -> DispersionModel:
     try:
         name = raw["name"]
@@ -263,8 +269,11 @@ def _model_from_dict(raw: dict, source: str) -> DispersionModel:
         valid_range=(float(lo), float(hi)),
     )
     # model must stay physical (n >= 1) over its whole declared range
-    for lam in np.linspace(model.valid_range[0], model.valid_range[1], 64):
-        n2, _ = _n_squared_and_dl(model, lam / _M_PER_UM)
+    for lam in _range_grid(*model.valid_range):
+        try:
+            n2, _ = _n_squared_and_dl(model, lam / _M_PER_UM)
+        except ZeroDivisionError:  # a pole of the model sits on a grid point
+            n2 = math.nan
         if not (n2 >= 1.0):
             raise ConfigError(
                 f"{source}: model gives n^2 = {n2:.6g} < 1 at {lam:.4e} m "

@@ -24,8 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .beams import BeamTriple
 from .errors import DegenerateConfigurationError, DomainError, OverlapSingularityError
 from .materials import MaterialOptics, domain_walls

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional
 
-import numpy as np
-
+from ._numpy import np
 from .beams import BeamTriple, GaussianMode
 from .errors import DegenerateDispersionError, DomainError, QuadratureError
 from .materials import CONSTANTS, MaterialOptics, PhysicalConstants
@@ -355,7 +354,14 @@ def _bruteforce_rate(
 
     def window_integral(name, pump_order, dwm_edges):
         x, x_w = _pump_rule(pump_order)
-        dwm, dwm_w = panel_nodes(dwm_edges, 8)
+        if power == 2:
+            # phi = coeff_m dwm^2 is even in dwm and the edges are symmetric
+            # about 0: integrate over dwm >= 0 and double. The linear phi is
+            # not even, so power 1 keeps both sides.
+            dwm, dwm_w = panel_nodes(dwm_edges[len(dwm_edges) // 2:], 8)
+            dwm_w *= 2.0
+        else:
+            dwm, dwm_w = panel_nodes(dwm_edges, 8)
         axial = ell_integral(
             coeff_m * dwm ** power, xi, C, offsets=coeff_p * sigma * x,
         )
@@ -644,7 +650,9 @@ def equal_focus_waists(base: BeamTriple, xi) -> tuple:
     refuses.
     """
     Lz = base.crystal_length
-    sqrt = np.sqrt if isinstance(xi, np.ndarray) else math.sqrt
+    # a Python number is never an array, and testing it so leaves numpy unloaded
+    array = not isinstance(xi, (int, float)) and isinstance(xi, np.ndarray)
+    sqrt = np.sqrt if array else math.sqrt
     return (sqrt(Lz / (base.pump.k * xi)), sqrt(Lz / (base.signal.k * xi)),
             sqrt(Lz / (base.idler.k * xi)))
 

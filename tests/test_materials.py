@@ -10,6 +10,7 @@ from spdc.beams import GaussianMode
 from spdc.errors import ConfigError, DomainError, WavelengthRangeError
 from spdc.materials import (
     CONSTANTS,
+    _range_grid,
     DispersionModel,
     MaterialOptics,
     builtin_material_names,
@@ -252,6 +253,31 @@ class TestLoader:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="n\\^2"):
+            load_dispersion_model(bad)
+
+    def test_range_grid_is_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        ranges = [model.valid_range for model in models_under_test()]
+        ranges += [tuple(sorted(pair)) for pair in rng.uniform(1e-8, 1e-4, (50, 2))]
+        ranges += [(1e-7, 1e-7 * (1 + 2 ** -40)), (5e-324, 1e300)]
+        for lo, hi in ranges:
+            assert _range_grid(lo, hi) == np.linspace(lo, hi, 64).tolist()
+
+    def test_pole_on_a_grid_wavelength_rejected(self, tmp_path):
+        # a Sellmeier pole exactly at the first grid wavelength: n^2 has a
+        # zero divisor there, which must read as unphysical, not raise
+        import json
+
+        lo = 4e-7
+        lam_um = lo / 1e-6
+        doc = {
+            "name": "pole", "axis": "", "form": "sellmeier",
+            "coefficients": [2.0, 1.0, lam_um * lam_um],
+            "valid_range_m": [lo, 2e-6],
+        }
+        bad = tmp_path / "pole.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="n\\^2 = nan"):
             load_dispersion_model(bad)
 
     def test_builtins_enumerate_and_load(self):

@@ -16,16 +16,26 @@ from spdc.errors import (
     SpdcError,
 )
 from spdc.materials import CONSTANTS, MaterialOptics, poling_profile
-from spdc.overlap import overlap_params, overlap_simplified, phase_mismatch_coefficients
+from spdc.overlap import (
+    overlap_params,
+    overlap_prefactor,
+    overlap_simplified,
+    phase_mismatch_coefficients,
+)
+from spdc.quadrature import ell_integral, panel_nodes
 from spdc.rates import (
     PumpSpec,
     _atan,
+    _dwm_panel_edges,
+    _jsa_prefactor,
+    _pump_rule,
     _pump_rule_order,
     apply_table_correction,
     bennink_ratio,
     closed_form_kernel,
     collimated_limit_rates,
     equal_focus_beams,
+    equal_focus_waists,
     focus_optimize,
     jsa_value,
     overlap_value,
@@ -311,6 +321,33 @@ class TestDegenerateNumeric:
         material, beams, pump = degenerate_setup(4e-3)
         with pytest.raises(DomainError):
             pairs_degenerate_numeric(material, beams, pump, 0.0)
+
+    @pytest.mark.parametrize("phi_halfwidth", [None, 150.0])
+    def test_folded_dwm_axis_matches_the_full_table(self, phi_halfwidth):
+        """phi = coeff_m dwm^2 is even in dwm, so summing the dwm >= 0 half
+        of the symmetric panel layout with doubled weights gives the sum
+        over the whole table."""
+        material, beams, pump = degenerate_setup(4e-3)
+        res = pairs_degenerate_numeric(material, beams, pump, self.KAPPA0,
+                                       phi_halfwidth=phi_halfwidth)
+        d = res.diagnostics
+        fine = d["passes"]["fine"]
+        coeff_p, _ = phase_mismatch_coefficients(
+            material.ng_p, material.ng_1, material.ng_2, beams.crystal_length, C
+        )
+        coeff_m = 0.25 * self.KAPPA0 * beams.crystal_length
+        params = overlap_params(beams)
+        edges, _ = _dwm_panel_edges(coeff_m, 2, d["phi_halfwidth"])
+        dwm, dwm_w = panel_nodes(edges, 8)
+        assert 2 * fine["dwm_nodes"] == dwm.size
+        x, x_w = _pump_rule(fine["pump_rule_order"])
+        axial = ell_integral(coeff_m * dwm ** 2, params.xi_agg, params.C_quad,
+                             offsets=coeff_p * pump.bandwidth * x)
+        amplitude = _jsa_prefactor(material, beams, CONSTANTS) * abs(
+            overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
+        )
+        full = 0.5 * amplitude * amplitude * float(x_w @ (np.abs(axial) ** 2 @ dwm_w))
+        assert abs(d["window_integral"] / full - 1.0) <= 1e-14
 
 
 class TestOraclePinned:
@@ -704,6 +741,20 @@ class TestFocusOptimize:
         assert rate_max == pairs_closed_form(
             ppktp_material, equal_focus_beams(ppktp_base_beams, hi)
         ).pairs_per_s_per_mW
+
+
+class TestEqualFocusWaists:
+    @pytest.mark.parametrize("xi", [1, 2.5, np.float64(2.5)])
+    def test_number_gives_floats(self, ppktp_base_beams, xi):
+        waists = equal_focus_waists(ppktp_base_beams, xi)
+        assert all(type(w) is float for w in waists)
+
+    def test_array_gives_arrays_equal_to_the_scalar_ones(self, ppktp_base_beams):
+        xis = np.array([0.5, 1.0, 2.5])
+        waists = equal_focus_waists(ppktp_base_beams, xis)
+        assert all(isinstance(w, np.ndarray) and w.shape == xis.shape for w in waists)
+        for i, xi in enumerate(xis.tolist()):
+            assert tuple(w[i] for w in waists) == equal_focus_waists(ppktp_base_beams, xi)
 
 
 class TestDimensionalAudit:
