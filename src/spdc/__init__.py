@@ -6,6 +6,10 @@ The package exports its entry points only; everything else is imported
 from the module that defines it (``spdc.beams``, ``spdc.materials``,
 ``spdc.overlap``, ``spdc.quadrature``, ``spdc.rates``, ``spdc.config``,
 ``spdc.errors``).
+
+numpy is imported on first array use: importing the package, ``load_config``
+and the closed form (``pairs_closed_form``, the CLI's ``rate``, ``optimize``
+and ``table``) never load it; scans, overlap integrals and the oracles do.
 """
 
 from .config import load_config

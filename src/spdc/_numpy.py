@@ -16,6 +16,8 @@ def _lazy_numpy():
     if "numpy" in sys.modules:
         return sys.modules["numpy"]
     spec = importlib.util.find_spec("numpy")
+    if spec is None:  # fail at import, as an eager import would
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules["numpy"] = module

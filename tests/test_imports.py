@@ -89,6 +89,19 @@ def test_array_command_loads_numpy_and_prints_the_same_bytes(capsys, args):
     assert (code, out) == in_process(capsys, *args)
 
 
+def test_missing_numpy_fails_at_import():
+    """numpy stays a hard dependency: without it ``import spdc`` fails at once."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    no_site = [sys.executable, "-S", "-c"]
+    if subprocess.run(no_site + ["import numpy"], capture_output=True, env=env,
+                      timeout=60).returncode == 0:
+        pytest.skip("numpy is importable without site-packages")
+    proc = subprocess.run(no_site + ["import spdc"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'"
+
+
 def module_level_imports(tree):
     """Names imported by statements that run when the module is imported."""
     todo = list(tree.body)

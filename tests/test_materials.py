@@ -10,9 +10,9 @@ from spdc.beams import GaussianMode
 from spdc.errors import ConfigError, DomainError, WavelengthRangeError
 from spdc.materials import (
     CONSTANTS,
-    _range_grid,
     DispersionModel,
     MaterialOptics,
+    _range_grid,
     builtin_material_names,
     domain_walls,
     group_index,
