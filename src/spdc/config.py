@@ -207,14 +207,6 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     if poling is not None:
         where = "material.poling_period_m"
         poling = _positive(_number(poling, where), where)
-    # informational only: validated, not stored
-    tdims = material.get("transverse_dims_m")
-    if tdims is not None:
-        if not (isinstance(tdims, (list, tuple)) and len(tdims) == 2):
-            raise ConfigError("material.transverse_dims_m: expected [Lx, Ly]")
-        for i, value in enumerate(tdims):
-            where = f"material.transverse_dims_m[{i}]"
-            _positive(_number(value, where), where)
 
     indices = _indices_from_block(material, (lam_p, lam_1, lam_2), base_dir)
 

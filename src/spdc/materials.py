@@ -137,16 +137,29 @@ def _n_squared_and_dl(model: DispersionModel, lam_um: float):
     return n2, dn2_dL * 2.0 * lam_um
 
 
+def _physical_n_squared(model: DispersionModel, lam: float):
+    """``_n_squared_and_dl`` at ``lam`` (meters), raising DomainError when
+    ``lam`` lies on a pole of the model or where n^2 < 1."""
+    where = f"{model.material_name}/{model.polarization_axis}"
+    try:
+        n2, dn2_dlam = _n_squared_and_dl(model, lam / _M_PER_UM)
+    except ZeroDivisionError:
+        raise DomainError(
+            f"{where}: wavelength {lam:.4e} m lies on a pole of the {model.form} "
+            "model; check coefficients/range"
+        ) from None
+    if n2 < 1.0:
+        raise DomainError(
+            f"{where}: model gives n^2 = {n2:.6g} < 1 at {lam:.4e} m; "
+            "check coefficients/range"
+        )
+    return n2, dn2_dlam
+
+
 def refractive_index(model: DispersionModel, lam: float) -> float:
     """Phase refractive index at vacuum wavelength ``lam`` (meters)."""
     _check_range(model, lam)
-    n2, _ = _n_squared_and_dl(model, lam / _M_PER_UM)
-    if n2 < 1.0:
-        raise DomainError(
-            f"{model.material_name}/{model.polarization_axis}: model gives "
-            f"n^2 = {n2:.6g} < 1 at {lam:.4e} m; check coefficients/range"
-        )
-    return math.sqrt(n2)
+    return math.sqrt(_physical_n_squared(model, lam)[0])
 
 
 def group_index(model: DispersionModel, lam: float) -> float:
@@ -157,16 +170,10 @@ def group_index(model: DispersionModel, lam: float) -> float:
     a neighborhood.
     """
     _check_range(model, lam, interior=True)
-    lam_um = lam / _M_PER_UM
-    n2, dn2_dlam = _n_squared_and_dl(model, lam_um)
-    if n2 < 1.0:
-        raise DomainError(
-            f"{model.material_name}/{model.polarization_axis}: model gives "
-            f"n^2 = {n2:.6g} < 1 at {lam:.4e} m"
-        )
+    n2, dn2_dlam = _physical_n_squared(model, lam)
     n = math.sqrt(n2)
     # n_g = n - lam * (dn^2/dlam) / (2 n); unit of length cancels
-    return n - lam_um * dn2_dlam / (2.0 * n)
+    return n - lam / _M_PER_UM * dn2_dlam / (2.0 * n)
 
 
 def poling_profile(z, poling_period: Optional[float], Lz: float):

@@ -6,8 +6,8 @@ along z; ``overlap_simplified`` integrates the reduced axial form over
 l = 2z/Lz with aggregate parameters (xi, C, D) (Bennink, Phys. Rev. A 81,
 053805 (2010)). Their agreement cross-checks the parameter algebra, which
 ``aggregate_parameters`` writes once, for floats and arrays alike, with
-(xi, C, D, A+B+) unchecked; ``overlap_params`` and the four one-value
-helpers raise DegenerateConfigurationError naming each one not finite.
+(xi, C, D, A+B+) unchecked; ``overlap_params`` is the one checked path and
+raises DegenerateConfigurationError naming each one not finite.
 
 Both denominators are quadratics held as complex coefficients (c2, c1, c0):
 the reduced one (-C xi^2, i xi, 1), the direct one expanded from the linear
@@ -60,7 +60,7 @@ class OverlapParams:
 _PARAMETER_NAMES = ("xi_agg", "C_quad", "D_norm", "a_plus_b_plus")
 
 
-def aggregate_parameters(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz=1.0) -> tuple:
+def aggregate_parameters(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz) -> tuple:
     """(xi, C, D, A+B+) of the three beams, unchecked; floats or arrays that broadcast.
 
     With sigma = k1 x1 + k2 x2 + kp xp and
@@ -80,9 +80,9 @@ def aggregate_parameters(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz=1.0) -> tuple:
     )
 
 
-def _checked_parameters(args: tuple, checked=range(4)) -> tuple:
+def _checked_parameters(args: tuple) -> tuple:
     """``aggregate_parameters(*args)``, raising DegenerateConfigurationError that
-    names each value at the ``checked`` positions that is not finite.
+    names each value that is not finite.
 
     The arguments run as Python floats, numpy scalars too, so that a zero
     divisor raises ZeroDivisionError instead of warning."""
@@ -92,47 +92,14 @@ def _checked_parameters(args: tuple, checked=range(4)) -> tuple:
     except ZeroDivisionError:  # rerun where a zero divisor gives inf or NaN
         with np.errstate(all="ignore"):
             values = tuple(map(float, aggregate_parameters(*map(np.float64, args))))
-    bad = [f"{_PARAMETER_NAMES[i]} = {values[i]}" for i in checked
-           if not math.isfinite(values[i])]
+    bad = [f"{name} = {value}" for name, value in zip(_PARAMETER_NAMES, values)
+           if not math.isfinite(value)]
     if bad:
         raise DegenerateConfigurationError(
             f"aggregate parameters not finite: {', '.join(bad)}; a wavevector or "
             "focal parameter is zero or over- or underflows"
         )
     return values
-
-
-def aggregate_focal_parameter(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
-    """Aggregate focal parameter xi of the three-beam overlap (``aggregate_parameters``)."""
-    return _checked_parameters((k_p, k_1, k_2, xi_p, xi_1, xi_2), (0,))[0]
-
-
-def quadratic_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
-    """Quadratic coefficient C of the reduced denominator 1 + i l xi - C xi^2 l^2.
-
-    Proportional to (kp - k1 - k2), so exactly zero at perfect collinear
-    wavevector matching.
-    """
-    return _checked_parameters((k_p, k_1, k_2, xi_p, xi_1, xi_2), (1,))[1]
-
-
-def normalization_coefficient(k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz) -> float:
-    """Normalization coefficient D = k1 k2 kp x1 x2 xp / (Lz (k1 x1 + k2 x2 + kp xp)).
-
-    Units 1/m^3. The length in the denominator is the crystal length.
-    """
-    if Lz <= 0.0:
-        raise DegenerateConfigurationError(f"Lz must be positive, got {Lz}")
-    return _checked_parameters((k_p, k_1, k_2, xi_p, xi_1, xi_2, Lz), (2,))[2]
-
-
-def a_plus_b_plus(k_p, k_1, k_2, xi_p, xi_1, xi_2) -> float:
-    """Denominator product A+B+ of the closed-form rate.
-
-    Satisfies xi / (A+B+) = kp^2 x1 x2 xp / (k1 x1 + k2 x2 + kp xp)^2 and
-    equals 4 for equal focal parameters under collinear matching.
-    """
-    return _checked_parameters((k_p, k_1, k_2, xi_p, xi_1, xi_2), (3,))[3]
 
 
 def phase_mismatch_coefficients(ng_p, ng_1, ng_2, Lz, c) -> tuple:

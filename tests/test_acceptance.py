@@ -18,12 +18,10 @@ from spdc.beams import BeamTriple, GaussianMode
 from spdc.config import load_table_fixture
 from spdc.materials import MaterialOptics, group_index, load_builtin_material, refractive_index
 from spdc.overlap import (
-    a_plus_b_plus,
-    aggregate_focal_parameter,
+    aggregate_parameters,
     overlap_direct,
     overlap_params,
     overlap_simplified,
-    quadratic_coefficient,
 )
 from spdc.rates import (
     bennink_ratio,
@@ -149,21 +147,18 @@ def test_criterion_05_algebraic_identities():
         kp, k1, k2 = k
         xp, x1, x2 = xi
         # defining relation of A+B+
-        agg = aggregate_focal_parameter(kp, k1, k2, xp, x1, x2)
-        ab = a_plus_b_plus(kp, k1, k2, xp, x1, x2)
+        agg, _, _, ab = aggregate_parameters(kp, k1, k2, xp, x1, x2, 1.0)
         sigma = k1 * x1 + k2 * x2 + kp * xp
         rhs = kp * kp * x1 * x2 * xp / (sigma * sigma)
         worst = max(worst, abs(agg / ab - rhs) / abs(rhs))
         # equal-focus collinear values
         kp_sum = k1 + k2
         x0 = x1
-        worst = max(worst, abs(a_plus_b_plus(kp_sum, k1, k2, x0, x0, x0) - 4.0) / 4.0)
-        worst = max(
-            worst,
-            abs(aggregate_focal_parameter(kp_sum, k1, k2, x0, x0, x0) - x0) / x0,
-        )
+        agg0, _, _, ab0 = aggregate_parameters(kp_sum, k1, k2, x0, x0, x0, 1.0)
+        worst = max(worst, abs(ab0 - 4.0) / 4.0)
+        worst = max(worst, abs(agg0 - x0) / x0)
         # C vanishes at exact wavevector matching (scaled by its prefactor)
-        c_val = quadratic_coefficient(kp_sum, k1, k2, xp, x1, x2)
+        c_val = aggregate_parameters(kp_sum, k1, k2, xp, x1, x2, 1.0)[1]
         c_scale = kp_sum * x1 * x2 * xp * sigma / (
             k1 * x1 * (x2 - xp) + k2 * x2 * (x1 - xp) + kp_sum * xp * (x1 + x2)
         ) ** 2

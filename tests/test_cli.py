@@ -590,13 +590,23 @@ class TestConfigLoading:
         assert code == 1
         assert "exactly one" in err
 
-    def test_transverse_dims_validated(self, capsys, tmp_path):
-        doc = load_json(PPKTP_CONFIG)
-        doc["material"]["transverse_dims_m"] = [1e-3]
+    def test_dispersion_pole_at_a_band_centre_is_one_error_line(self, capsys, tmp_path):
+        # the signal model's pole sits at its 1.55 um band centre, between two
+        # points of the 64-point range grid, so the loader accepts the model
+        lam_um = 1.55e-6 / 1e-6
+        signal = write_json(tmp_path, "signal.json", {
+            "name": "pole", "form": "sellmeier",
+            "coefficients": [3.0, 1e-12, lam_um * lam_um], "valid_range_m": [1e-6, 2.1e-6],
+        })
+        doc = load_json(DISPERSION_CONFIG)
+        doc["material"]["dispersion"]["signal"] = str(signal)
         cfg = write_json(tmp_path, "cfg.json", doc)
-        code, _, err = run_cli(capsys, "rate", "--config", cfg)
-        assert code == 1
-        assert "transverse_dims" in err
+        code, out, err = run_cli(capsys, "rate", "--config", cfg)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "on a pole of the sellmeier model" in lines[0]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 400],
                              ids=["NaN", "Infinity", "int_beyond_float"])

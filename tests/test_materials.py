@@ -97,6 +97,21 @@ class TestGroupIndex:
             group_index(model, hi)
 
 
+# L = lambda_um^2 at 1.55 um, the pole of each model below
+POLE_L = (1.55e-6 / 1e-6) * (1.55e-6 / 1e-6)
+
+
+@pytest.mark.parametrize("model", [
+    DispersionModel("s", "", "sellmeier", (3.0, 1e-12, POLE_L), (1e-6, 2.1e-6)),
+    DispersionModel("p", "", "pole", (3.0, 1e-12, POLE_L, 0.0, 0.0, 0.0), (1e-6, 2.1e-6)),
+], ids=lambda model: model.form)
+@pytest.mark.parametrize("index", [refractive_index, group_index],
+                         ids=lambda index: index.__name__)
+def test_pole_at_the_wavelength_raises_domain_error(index, model):
+    with pytest.raises(DomainError, match=f"1.5500e-06 m lies on a pole of the {model.form} model"):
+        index(model, 1.55e-6)
+
+
 class TestSellmeierForm:
     """The ``sellmeier`` form, on Schott's N-BK7 fit (wavelength squared in um^2)."""
 

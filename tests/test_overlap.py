@@ -28,15 +28,12 @@ from spdc.overlap import (
     _direct_coefficients,
     _domain_panels,
     _quadratic_roots,
-    a_plus_b_plus,
-    aggregate_focal_parameter,
-    normalization_coefficient,
+    aggregate_parameters,
     overlap_direct,
     overlap_params,
     overlap_prefactor,
     overlap_simplified,
     phase_mismatch_coefficients,
-    quadratic_coefficient,
 )
 from spdc.quadrature import MAX_PANELS, ell_integral, panel_nodes
 from spdc.rates import equal_focus_beams, overlap_value, pairs_closed_form
@@ -109,51 +106,64 @@ def equal_focus_triple(Lz, xi, n=(1.8, 1.8, 1.8), z0=(0.0, 0.0, 0.0)):
     return BeamTriple(*modes, crystal_length=Lz)
 
 
+def focused_triple(xis, Lz=1e-300):
+    """PPKTP-like beams whose focal parameters are ``xis``; a zero one takes a
+    waist so wide that Lz / (k w0^2) underflows to 0."""
+    modes = []
+    for lam, n, xi in zip((LAMBDA_P, LAMBDA_1, LAMBDA_2), (N_P, N_1, N_2), xis):
+        k = 2 * math.pi * n / lam
+        modes.append(GaussianMode(lam, n, math.sqrt(Lz / (k * xi)) if xi else 1e46))
+    return BeamTriple(*modes, crystal_length=Lz)
+
+
 class TestAggregateFocalParameter:
     def test_equal_focus_collinear(self):
         k1, k2 = 7.03e6, 7.36e6
         kp = k1 + k2
         xi0 = 0.7
-        assert aggregate_focal_parameter(kp, k1, k2, xi0, xi0, xi0) == pytest.approx(
+        assert aggregate_parameters(kp, k1, k2, xi0, xi0, xi0, 1.0)[0] == pytest.approx(
             xi0, rel=1e-14
         )
 
     def test_plane_wave_pump_limit(self):
         k1, k2, kp = 7.0e6, 7.4e6, 14.4e6
         xi0 = 0.45
-        got = aggregate_focal_parameter(kp, k1, k2, 0.0, xi0, xi0)
+        # a plane-wave pump zeroes the divisor of A+B+, not that of xi
+        with np.errstate(divide="ignore"):
+            got = aggregate_parameters(*map(np.float64, (kp, k1, k2, 0.0, xi0, xi0)), 1.0)[0]
         assert got == pytest.approx(xi0, rel=1e-14)
 
     def test_signal_idler_swap_symmetry(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             kp, k1, k2, xp, x1, x2 = random_inputs(rng)
-            a = aggregate_focal_parameter(kp, k1, k2, xp, x1, x2)
-            b = aggregate_focal_parameter(kp, k2, k1, xp, x2, x1)
+            a = aggregate_parameters(kp, k1, k2, xp, x1, x2, 1.0)[0]
+            b = aggregate_parameters(kp, k2, k1, xp, x2, x1, 1.0)[0]
             assert a == pytest.approx(b, rel=1e-13)
 
     def test_zero_denominator(self):
-        with pytest.raises(DegenerateConfigurationError):
-            aggregate_focal_parameter(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+        # every focal parameter zero: each of the four divisors is zero
+        with pytest.raises(DegenerateConfigurationError, match="xi_agg = nan"):
+            overlap_params(focused_triple((0.0, 0.0, 0.0)))
 
 
 class TestQuadraticCoefficient:
     def test_zero_at_wavevector_matching(self):
         k1, k2 = 7.03e6, 7.36e6
-        assert quadratic_coefficient(k1 + k2, k1, k2, 0.3, 0.5, 0.7) == 0.0
+        assert aggregate_parameters(k1 + k2, k1, k2, 0.3, 0.5, 0.7, 1.0)[1] == 0.0
 
     def test_sign_follows_mismatch(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
             kp, k1, k2, xp, x1, x2 = random_inputs(rng)
-            c = quadratic_coefficient(kp, k1, k2, xp, x1, x2)
+            c = aggregate_parameters(kp, k1, k2, xp, x1, x2, 1.0)[1]
             assert math.copysign(1.0, c) == math.copysign(1.0, kp - k1 - k2)
 
     def test_algebraic_identity(self):
         rng = np.random.default_rng(33)
         for _ in range(200):
             kp, k1, k2, xp, x1, x2 = random_inputs(rng)
-            c = quadratic_coefficient(kp, k1, k2, xp, x1, x2)
+            c = aggregate_parameters(kp, k1, k2, xp, x1, x2, 1.0)[1]
             num = (
                 k1 * x1 * (x2 - xp) + k2 * x2 * (x1 - xp) + kp * xp * (x1 + x2)
             )
@@ -170,7 +180,7 @@ class TestNormalizationCoefficient:
         kp = 2.0 * k1
         xi = 0.37
         Lz = 8e-3
-        got = normalization_coefficient(kp, k1, k1, xi, xi, xi, Lz)
+        got = aggregate_parameters(kp, k1, k1, xi, xi, xi, Lz)[2]
         assert got == pytest.approx(k1**2 * xi**2 / (2.0 * Lz), rel=1e-13)
 
     def test_degree_two_homogeneity_in_xi(self):
@@ -179,10 +189,8 @@ class TestNormalizationCoefficient:
         rng = np.random.default_rng(34)
         for _ in range(100):
             kp, k1, k2, xp, x1, x2 = random_inputs(rng)
-            base = normalization_coefficient(kp, k1, k2, xp, x1, x2, 5e-3)
-            doubled = normalization_coefficient(
-                kp, k1, k2, 2 * xp, 2 * x1, 2 * x2, 5e-3
-            )
+            base = aggregate_parameters(kp, k1, k2, xp, x1, x2, 5e-3)[2]
+            doubled = aggregate_parameters(kp, k1, k2, 2 * xp, 2 * x1, 2 * x2, 5e-3)[2]
             assert doubled == pytest.approx(4.0 * base, rel=1e-13)
 
 
@@ -191,14 +199,15 @@ class TestAPlusBPlus:
         k1, k2 = 7.03e6, 7.36e6
         kp = k1 + k2
         xi0 = 1.3
-        assert a_plus_b_plus(kp, k1, k2, xi0, xi0, xi0) == pytest.approx(4.0, rel=1e-13)
+        assert aggregate_parameters(kp, k1, k2, xi0, xi0, xi0, 1.0)[3] == pytest.approx(
+            4.0, rel=1e-13
+        )
 
     def test_defining_relation(self):
         rng = np.random.default_rng(35)
         for _ in range(300):
             kp, k1, k2, xp, x1, x2 = random_inputs(rng)
-            xi = aggregate_focal_parameter(kp, k1, k2, xp, x1, x2)
-            ab = a_plus_b_plus(kp, k1, k2, xp, x1, x2)
+            xi, _, _, ab = aggregate_parameters(kp, k1, k2, xp, x1, x2, 1.0)
             sigma = k1 * x1 + k2 * x2 + kp * xp
             assert xi / ab == pytest.approx(
                 kp * kp * x1 * x2 * xp / (sigma * sigma), rel=1e-12
@@ -211,21 +220,21 @@ class TestAPlusBPlus:
         for _ in range(100):
             kp, k1, k2, xp, x1, x2 = random_inputs(rng)
             s = rng.uniform(0.1, 10.0)
-            base = a_plus_b_plus(kp, k1, k2, xp, x1, x2)
-            scaled = a_plus_b_plus(kp, k1, k2, s * xp, s * x1, s * x2)
+            base = aggregate_parameters(kp, k1, k2, xp, x1, x2, 1.0)[3]
+            scaled = aggregate_parameters(kp, k1, k2, s * xp, s * x1, s * x2, 1.0)[3]
             assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(37)
         for _ in range(100):
             kp, k1, k2, xp, x1, x2 = random_inputs(rng)
-            a = a_plus_b_plus(kp, k1, k2, xp, x1, x2)
-            b = a_plus_b_plus(kp, k2, k1, xp, x2, x1)
+            a = aggregate_parameters(kp, k1, k2, xp, x1, x2, 1.0)[3]
+            b = aggregate_parameters(kp, k2, k1, xp, x2, x1, 1.0)[3]
             assert a == pytest.approx(b, rel=1e-13)
 
     def test_zero_focal_parameter_rejected(self):
-        with pytest.raises(DegenerateConfigurationError):
-            a_plus_b_plus(1.4e7, 7e6, 7e6, 0.0, 0.5, 0.5)
+        with pytest.raises(DegenerateConfigurationError, match="a_plus_b_plus = inf"):
+            overlap_params(focused_triple((0.0, 0.5, 0.5)))
 
 
 class TestPhaseMismatch:
@@ -585,25 +594,17 @@ def test_overflowing_parameters_are_named(ppktp_material, beams):
             call()
 
 
-# every focal parameter zero, so each helper's divisor is zero
-ZERO_FOCUS = tuple(map(np.float64, (1.4e7, 7e6, 7e6, 0.0, 0.0, 0.0)))
-
-
-@pytest.mark.parametrize("call", [
-    lambda: aggregate_focal_parameter(*ZERO_FOCUS),
-    lambda: quadratic_coefficient(*ZERO_FOCUS),
-    lambda: normalization_coefficient(*ZERO_FOCUS, np.float64(1e-2)),
-    lambda: a_plus_b_plus(*ZERO_FOCUS),
-    lambda: a_plus_b_plus(np.float64(1.4e7), 7e6, 7e6, 0.0, 0.5, 0.5),
+@pytest.mark.parametrize("beams", [
+    focused_triple((0.0, 0.0, 0.0), np.float64(1e-300)),
+    focused_triple((0.0, 0.5, 0.5), np.float64(1e-300)),
     # xi ~ 1e-298, so u and x1 x2 xp underflow to zero divisors
-    lambda: overlap_params(extreme_beams(crystal_length=np.float64(1e-300))),
-], ids=["aggregate_focal_parameter", "quadratic_coefficient",
-        "normalization_coefficient", "a_plus_b_plus", "a_plus_b_plus-pump-only",
-        "overlap_params"])
-def test_numpy_scalar_zero_divisor_raises_without_warning(call):
-    # pytest turns a RuntimeWarning from numpy's scalar division into an error
+    extreme_beams(crystal_length=np.float64(1e-300)),
+], ids=["zero-focus", "a_plus_b_plus-pump-only", "overlap_params"])
+def test_numpy_scalar_zero_divisor_raises_without_warning(beams):
+    # a numpy-scalar crystal length makes every focal parameter a numpy
+    # scalar; pytest turns a RuntimeWarning from their division into an error
     with pytest.raises(DegenerateConfigurationError, match="not finite"):
-        call()
+        overlap_params(beams)
 
 
 def displace(beams, roles, z0):
@@ -619,7 +620,8 @@ class TestOverlapParamsBundle:
         p = overlap_params(ppktp_base_beams, delta_k=dk)
         k_p, k_1, k_2 = ppktp_base_beams.wavevectors()
         xis = (ppktp_base_beams.xi_p, ppktp_base_beams.xi_1, ppktp_base_beams.xi_2)
-        assert p.xi_agg == aggregate_focal_parameter(k_p, k_1, k_2, *xis)
+        assert (p.xi_agg, p.C_quad, p.D_norm, p.a_plus_b_plus) == aggregate_parameters(
+            k_p, k_1, k_2, *xis, ppktp_base_beams.crystal_length)
         assert p.phi == dk * ppktp_base_beams.crystal_length
         assert p.D_norm > 0
 
