@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -594,17 +595,25 @@ def test_overflowing_parameters_are_named(ppktp_material, beams):
             call()
 
 
-@pytest.mark.parametrize("beams", [
-    focused_triple((0.0, 0.0, 0.0), np.float64(1e-300)),
-    focused_triple((0.0, 0.5, 0.5), np.float64(1e-300)),
+@pytest.mark.parametrize("beams, named", [
+    # every focal parameter zero, so each quotient's divisor is zero
+    (focused_triple((0.0, 0.0, 0.0), np.float64(1e-300)), "xi_agg"),
+    (focused_triple((0.0, 0.0, 0.0), np.float64(1e-300)), "C_quad"),
+    (focused_triple((0.0, 0.0, 0.0), np.float64(1e-300)), "D_norm"),
+    (focused_triple((0.0, 0.0, 0.0), np.float64(1e-300)), "a_plus_b_plus"),
+    (focused_triple((0.0, 0.5, 0.5), np.float64(1e-300)), "a_plus_b_plus"),
     # xi ~ 1e-298, so u and x1 x2 xp underflow to zero divisors
-    extreme_beams(crystal_length=np.float64(1e-300)),
-], ids=["zero-focus", "a_plus_b_plus-pump-only", "overlap_params"])
-def test_numpy_scalar_zero_divisor_raises_without_warning(beams):
+    (extreme_beams(crystal_length=np.float64(1e-300)), ""),
+], ids=["aggregate_focal_parameter", "quadratic_coefficient",
+        "normalization_coefficient", "a_plus_b_plus", "a_plus_b_plus-pump-only",
+        "overlap_params"])
+def test_numpy_scalar_zero_divisor_raises_without_warning(beams, named):
     # a numpy-scalar crystal length makes every focal parameter a numpy
     # scalar; pytest turns a RuntimeWarning from their division into an error
-    with pytest.raises(DegenerateConfigurationError, match="not finite"):
+    with pytest.raises(DegenerateConfigurationError, match="not finite") as err:
         overlap_params(beams)
+    if named:
+        assert re.search(rf"\b{named} = (nan|inf|-inf)\b", str(err.value))
 
 
 def displace(beams, roles, z0):
