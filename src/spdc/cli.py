@@ -55,10 +55,8 @@ def cmd_rate(
     tol: float = None,
     degenerate: bool = False,
     kappa0: float = None,
-    out=None,
 ) -> int:
     """Print the pair rate for one configuration."""
-    out = out or sys.stdout
     material = config.material_optics()
     beams = config.beam_triple()
     quad_tol = config.quad_tol if tol is None else tol
@@ -70,31 +68,25 @@ def cmd_rate(
         res = pairs_degenerate_numeric(
             material, beams, pump, kappa0, CONSTANTS, quad_tol
         )
-        print(f"method: degenerate numeric (kappa0 = {_fmt(kappa0)} s^2/m)", file=out)
-        print(f"pairs per pump photon:  {_fmt(res.pairs_per_pump_photon)}", file=out)
-        print(f"pairs per s per mW:     {_fmt(res.pairs_per_s_per_mW)}", file=out)
-        print(f"xi_agg = {_fmt(res.xi_agg)}  A+B+ = {_fmt(res.a_plus_b_plus)}", file=out)
-        print(
-            f"quadrature error estimate: {res.quadrature_error_estimate:.3e}",
-            file=out,
-        )
+        print(f"method: degenerate numeric (kappa0 = {_fmt(kappa0)} s^2/m)")
+        print(f"pairs per pump photon:  {_fmt(res.pairs_per_pump_photon)}")
+        print(f"pairs per s per mW:     {_fmt(res.pairs_per_s_per_mW)}")
+        print(f"xi_agg = {_fmt(res.xi_agg)}  A+B+ = {_fmt(res.a_plus_b_plus)}")
+        print(f"quadrature error estimate: {res.quadrature_error_estimate:.3e}")
         return 0
 
     res = pairs_closed_form(material, beams, CONSTANTS)
-    print(f"pairs per pump photon (closed form): {_fmt(res.pairs_per_pump_photon)}", file=out)
-    print(f"pairs per s per mW (closed form):    {_fmt(res.pairs_per_s_per_mW)}", file=out)
-    print(f"xi_agg = {_fmt(res.xi_agg)}  A+B+ = {_fmt(res.a_plus_b_plus)}", file=out)
+    print(f"pairs per pump photon (closed form): {_fmt(res.pairs_per_pump_photon)}")
+    print(f"pairs per s per mW (closed form):    {_fmt(res.pairs_per_s_per_mW)}")
+    print(f"xi_agg = {_fmt(res.xi_agg)}  A+B+ = {_fmt(res.a_plus_b_plus)}")
     if oracle:
         pump = config.pump_spec()
         ref = pairs_via_bruteforce(material, beams, pump, CONSTANTS, quad_tol)
         dev = (ref.pairs_per_s_per_mW - res.pairs_per_s_per_mW) / res.pairs_per_s_per_mW \
             if res.pairs_per_s_per_mW != 0.0 else 0.0
-        print(f"oracle pairs per s per mW (brute force): {_fmt(ref.pairs_per_s_per_mW)}", file=out)
-        print(f"oracle relative deviation: {dev:+.3e}", file=out)
-        print(
-            f"oracle error estimate: {ref.quadrature_error_estimate:.3e}",
-            file=out,
-        )
+        print(f"oracle pairs per s per mW (brute force): {_fmt(ref.pairs_per_s_per_mW)}")
+        print(f"oracle relative deviation: {dev:+.3e}")
+        print(f"oracle error estimate: {ref.quadrature_error_estimate:.3e}")
     return 0
 
 
@@ -213,15 +205,14 @@ def cmd_scan(
     return 0
 
 
-def cmd_table(rows: list, out=None) -> int:
+def cmd_table(rows: list) -> int:
     """Check published rates against their correction factors."""
-    out = out or sys.stdout
     all_pass = True
     header = (
         f"{'row':<24}{'factor':>12}{'R_published':>16}{'R_revised':>16}"
         f"{'computed':>16}{'R_exp':>16}  result"
     )
-    print(header, file=out)
+    print(header)
     for row in rows:
         computed = apply_table_correction(row["rate_published"], row["correction_factor"])
         rel = abs(computed - row["rate_revised"]) / row["rate_revised"]
@@ -233,19 +224,14 @@ def cmd_table(rows: list, out=None) -> int:
         print(
             f"{row['name']:<24}{row['correction_factor']:>12.5f}"
             f"{row['rate_published']:>16.4e}{row['rate_revised']:>16.4e}"
-            f"{computed:>16.4e}{r_exp_s:>16}  {verdict}",
-            file=out,
+            f"{computed:>16.4e}{r_exp_s:>16}  {verdict}"
         )
-    print(
-        "note: experimental column is metadata only and takes no part in pass/fail",
-        file=out,
-    )
+    print("note: experimental column is metadata only and takes no part in pass/fail")
     return 0 if all_pass else 2
 
 
-def cmd_optimize(config: ExperimentConfig, xi_range: tuple = None, out=None) -> int:
+def cmd_optimize(config: ExperimentConfig, xi_range: tuple = None) -> int:
     """Search the equal-focusing family for the rate maximum."""
-    out = out or sys.stdout
     lo, hi = config.xi_range if xi_range is None else xi_range
     if not (0.0 < lo < hi < math.inf):
         raise ConfigError(
@@ -255,11 +241,11 @@ def cmd_optimize(config: ExperimentConfig, xi_range: tuple = None, out=None) -> 
     base = config.beam_triple()
     xi_opt, rate_max = focus_optimize(material, base, CONSTANTS, (lo, hi))
     best = equal_focus_beams(base, xi_opt)
-    print(f"xi_opt:            {_fmt(xi_opt)}", file=out)
-    print(f"pairs per s per mW: {_fmt(rate_max)}", file=out)
-    print(f"waist_p at optimum: {_fmt(best.pump.w0)} m", file=out)
-    print(f"waist_1 at optimum: {_fmt(best.signal.w0)} m", file=out)
-    print(f"waist_2 at optimum: {_fmt(best.idler.w0)} m", file=out)
+    print(f"xi_opt:            {_fmt(xi_opt)}")
+    print(f"pairs per s per mW: {_fmt(rate_max)}")
+    print(f"waist_p at optimum: {_fmt(best.pump.w0)} m")
+    print(f"waist_1 at optimum: {_fmt(best.signal.w0)} m")
+    print(f"waist_2 at optimum: {_fmt(best.idler.w0)} m")
     return 0
 
 
@@ -373,14 +359,10 @@ def _dispatch(argv: list) -> int:
     if args.command == "table":
         rows = load_table_fixture(args.config)
         return cmd_table(rows)
-    if args.command == "optimize":
-        config = load_config(args.config)
-        xi_range = (
-            _parse_range(args.xi_range, "--xi-range")
-            if args.xi_range else None
-        )
-        return cmd_optimize(config, xi_range)
-    raise ConfigError(f"unknown command {args.command!r}")
+    # optimize: the required subparsers admit no other command
+    config = load_config(args.config)
+    xi_range = _parse_range(args.xi_range, "--xi-range") if args.xi_range else None
+    return cmd_optimize(config, xi_range)
 
 
 def main(argv=None) -> int:

@@ -140,7 +140,7 @@ def _n_squared_and_dl(model: DispersionModel, lam_um: float):
 def _physical_n_squared(model: DispersionModel, lam: float):
     """``_n_squared_and_dl`` at ``lam`` (meters), raising DomainError when
     ``lam`` lies on a pole of the model or where n^2 < 1."""
-    where = f"{model.material_name}/{model.polarization_axis}"
+    where = "/".join(filter(None, (model.material_name, model.polarization_axis)))
     try:
         n2, dn2_dlam = _n_squared_and_dl(model, lam / _M_PER_UM)
     except ZeroDivisionError:
@@ -148,7 +148,7 @@ def _physical_n_squared(model: DispersionModel, lam: float):
             f"{where}: wavelength {lam:.4e} m lies on a pole of the {model.form} "
             "model; check coefficients/range"
         ) from None
-    if n2 < 1.0:
+    if not (n2 >= 1.0):  # NaN included
         raise DomainError(
             f"{where}: model gives n^2 = {n2:.6g} < 1 at {lam:.4e} m; "
             "check coefficients/range"
@@ -275,17 +275,12 @@ def _model_from_dict(raw: dict, source: str) -> DispersionModel:
         coefficients=coefficients,
         valid_range=(float(lo), float(hi)),
     )
-    # model must stay physical (n >= 1) over its whole declared range
+    # model must stay physical (n >= 1, no pole) over its whole declared range
     for lam in _range_grid(*model.valid_range):
         try:
-            n2, _ = _n_squared_and_dl(model, lam / _M_PER_UM)
-        except ZeroDivisionError:  # a pole of the model sits on a grid point
-            n2 = math.nan
-        if not (n2 >= 1.0):
-            raise ConfigError(
-                f"{source}: model gives n^2 = {n2:.6g} < 1 at {lam:.4e} m "
-                "inside its declared valid range"
-            )
+            _physical_n_squared(model, lam)
+        except DomainError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
     return model
 
 

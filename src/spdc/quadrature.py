@@ -6,8 +6,8 @@ for the one-off overlap integrals, which compares the order-8 and order-16
 sums over the same panels for its error estimate, ``ell_integral`` for the
 batches of axial integrals inside the brute-force rate integrals, and
 ``panel_edges``/``panel_nodes`` for the layouts. ``ell_integral`` uses one
-rule per call, sized by the call's largest |phi|, with its weights row
-cached by rule, xi and C. Its integrand takes conjugate values at l and
+rule per call, sized by the call's largest |phi|, with its folded nodes
+and weights cached by rule, xi and C. Its integrand is conjugate at l and
 -l, so the axial integral is real: the rule is folded onto its nodes
 x >= 0, and J offsets by M phases on an n-node rule cost
 (J + M) ceil(n / 2) complex exponentials and one real matrix product.
@@ -36,20 +36,21 @@ def gauss_legendre(n: int):
 
 @lru_cache(maxsize=64)
 def _ell_weights(n: int, xi: float, C: float):
-    """Read-only weights row of ``ell_integral``'s n-node rule, folded onto x >= 0.
+    """Read-only nodes and weights row of ``ell_integral``'s n-node rule, folded onto x >= 0.
 
-    Over the nodes x >= 0 of the rule, g = 2 w / (1 + i x xi - C xi^2 x^2),
-    and g = w at the middle node x = 0 of an odd rule, which pairs with
-    itself. The row holds (Re g_1, Im g_1, Re g_2, ...) as floats. Cached,
-    so that a scan calling ``ell_integral`` once per phase at one (xi, C)
-    builds it once; a hit returns the very array a miss built.
+    Returns the nodes x >= 0 of the rule and, over them, the row
+    g = 2 w / (1 + i x xi - C xi^2 x^2) as floats (Re g_1, Im g_1, ...),
+    with g = w at the middle node x = 0 of an odd rule, which pairs with
+    itself. Cached, so that a scan calling ``ell_integral`` once per phase
+    at one (xi, C) builds them once; a hit returns the very arrays a miss
+    built.
     """
     x, w = gauss_legendre(n)
     x, w = x[n // 2:], w[n // 2:]
     g = np.where(x > 0.0, 2.0 * w, w) / (1.0 + 1j * x * xi - C * (xi * xi) * (x * x))
     g = g.view(float)
     g.flags.writeable = False
-    return g
+    return x, g
 
 
 # panels one layout may hold
@@ -121,10 +122,10 @@ def _ell_rule_size(phi_abs: float, xi_abs: float) -> int:
 
     Checked against adaptive references to <1e-8 relative for |phi| <= 2000,
     |xi| <= 12. Past 4000 nodes (|phi| ~5,100 at small xi) it raises, since
-    a capped rule would alias.
+    a capped rule would alias; so does a NaN or infinite |phi| or |xi|.
     """
     n = 0.78 * phi_abs + 10.0 * xi_abs + 24
-    if n > 4000:
+    if not (n <= 4000):
         raise DomainError(f"axial integral at |phi| = {phi_abs:.4g}, xi = "
                           f"{xi_abs:.4g} needs more than 4000 Gauss-Legendre nodes")
     return int(max(64, n))
@@ -135,17 +136,16 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
 
     This is the reduced axial factor of the Gaussian overlap integral,
     evaluated with one fixed-order Gauss-Legendre rule per call, sized by
-    the call's largest finite |phi|, so that large batches of
-    phase-mismatch values are cheap. Accepts scalar or array ``phi``;
-    returns complex of the same shape. NaN or infinite phases give NaN; a
-    phase or xi needing over 4000 nodes raises DomainError.
+    the call's largest |phi|, so that large batches of phase-mismatch
+    values are cheap. Accepts scalar or array ``phi``; returns complex of
+    the same shape. A NaN or infinite phase, offset or xi, or a phase
+    needing over 4000 nodes, raises DomainError.
 
     For real phi, xi and C the integrand f obeys f(-l) = conj f(l), so I is
     real: the nodes +x and -x share their weight, and their two terms sum
     to twice the weight times Re f(x). The rule is therefore summed over
     its h = ceil(n / 2) nodes x >= 0 (the middle node of an odd rule counts
-    once), and the returned imaginary part is exactly 0 for every finite
-    phase.
+    once), and the returned imaginary part is exactly 0.
 
     With ``offsets`` (a 1-D sequence a_j), returns I(offsets[j] + phi[k])
     with shape ``(len(offsets),) + phi.shape``. The exponential factors,
@@ -155,44 +155,34 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     Im r_j sin(b_k x / 2). So the call costs (J + M) h complex
     exponentials, exp(+i b_k x / 2) read as (cos, sin) pairs, and one real
     (J x 2h) @ (2h x M) product, instead of J M n exponentials. The plain
-    call is the ``offsets = [0]`` case. The weights row of each (rule, xi,
-    C) is cached, and one float phase skips the array bookkeeping; neither
-    changes a bit of the result.
+    call is the ``offsets = [0]`` case. The nodes and weights row of each
+    (rule, xi, C) are cached, and one float phase skips the array
+    bookkeeping; neither changes a bit of the result.
     """
     if offsets is None and isinstance(phi, (int, float)):
         # one phase: the general path's arithmetic without its array bookkeeping
         phi = float(phi)
-        if not math.isfinite(phi):
-            return complex(math.nan, math.nan)
-        n = _ell_rule_size(abs(phi), abs(xi))
-        x = gauss_legendre(n)[0][n // 2:]
-        return complex(_ell_weights(n, xi, C) @ np.exp(0.5j * (x * phi)).view(float))
+        x, g = _ell_weights(_ell_rule_size(abs(phi), abs(xi)), xi, C)
+        return complex(g @ np.exp(0.5j * (x * phi)).view(float))
     phi_arr = np.asarray(phi, dtype=float)
     a = np.asarray([0.0] if offsets is None else offsets, dtype=float).ravel()
     b = phi_arr.ravel()
     shape = (() if offsets is None else a.shape) + phi_arr.shape
-    finite_a, finite_b = a[np.isfinite(a)], b[np.isfinite(b)]
-    # a_j + b_k spans [min a + min b, max a + max b]; -1 when no sum is finite
-    peak = (max(abs(finite_a.max() + finite_b.max()), abs(finite_a.min() + finite_b.min()))
-            if finite_a.size and finite_b.size else -1.0)
-    if peak < 0.0:  # no finite phase: nothing to integrate
-        out = np.full(shape, complex(math.nan, math.nan))
-        return complex(out) if out.ndim == 0 else out
-    n = _ell_rule_size(float(peak), abs(xi))
-    x = gauss_legendre(n)[0][n // 2:]
-    g = _ell_weights(n, xi, C).view(complex)
-    # a NaN or infinite phase turns its row or column of the product NaN
-    with np.errstate(invalid="ignore"):
-        # (Re r_j, Im r_j) interleaved per node, against (cos, sin) of b_k x / 2
-        rows = (np.exp(-0.5j * np.outer(a, x)) * g).view(float)
-        out = np.empty((len(rows), b.size))
-        # chunk the (nodes x columns) factor and the result block to bound memory
-        block = max(1, int(2.0e6 / (n + len(rows))))
-        for start in range(0, b.size, block):
-            cols = slice(start, start + block)
-            out[:, cols] = rows @ np.exp(0.5j * np.outer(b[cols], x)).view(float).T
+    # a_j + b_k spans [min a + min b, max a + max b]; in Python floats inf + -inf is a
+    # quiet NaN, so a NaN or infinite a_j or b_k gives a peak the rule size refuses
+    peak = (max(abs(float(a.max()) + float(b.max())), abs(float(a.min()) + float(b.min())))
+            if a.size and b.size else 0.0)
+    n = _ell_rule_size(peak, abs(xi))
+    x, g = _ell_weights(n, xi, C)
+    # (Re r_j, Im r_j) interleaved per node, against (cos, sin) of b_k x / 2
+    rows = (np.exp(-0.5j * np.outer(a, x)) * g.view(complex)).view(float)
+    out = np.empty((len(rows), b.size))
+    # chunk the (nodes x columns) factor and the result block to bound memory
+    block = max(1, int(2.0e6 / (n + len(rows))))
+    for start in range(0, b.size, block):
+        cols = slice(start, start + block)
+        out[:, cols] = rows @ np.exp(0.5j * np.outer(b[cols], x)).view(float).T
     result = out.astype(complex).reshape(shape)
-    result.imag[np.isnan(result.real)] = math.nan
     return complex(result) if result.ndim == 0 else result
 
 

@@ -215,14 +215,8 @@ def closed_form_kernel(
     return n_pairs, rate, xi, ab, ok
 
 
-def pairs_closed_form(
-    material: MaterialOptics,
-    beams: BeamTriple,
-    constants: PhysicalConstants = CONSTANTS,
-) -> RateResult:
-    """Closed-form pair probability per pump photon and rate per s per mW."""
-    _require_nondegenerate(material)
-
+def _positive_params(beams: BeamTriple):
+    """``overlap_params``, with xi_agg and A+B+ checked positive and finite."""
     params = overlap_params(beams)
     xi, ab = params.xi_agg, params.a_plus_b_plus
     if not (0.0 < xi < math.inf and 0.0 < ab < math.inf):
@@ -230,7 +224,18 @@ def pairs_closed_form(
             f"aggregate parameters xi={xi:.4g}, A+B+={ab:.4g} must be positive "
             "and finite; configuration outside the validity of the rate formula"
         )
+    return params
 
+
+def pairs_closed_form(
+    material: MaterialOptics,
+    beams: BeamTriple,
+    constants: PhysicalConstants = CONSTANTS,
+) -> RateResult:
+    """Closed-form pair probability per pump photon and rate per s per mW."""
+    _require_nondegenerate(material)
+    params = _positive_params(beams)
+    xi, ab = params.xi_agg, params.a_plus_b_plus
     modes = (beams.pump, beams.signal, beams.idler)
     n_pairs, rate = _closed_form(material, modes, xi, ab, constants)
     if not math.isfinite(rate):  # also catches a non-finite n_pairs
@@ -342,7 +347,7 @@ def _bruteforce_rate(
     """
     if not (quad_tol > 0.0):
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")
-    params = overlap_params(beams)
+    params = _positive_params(beams)
     xi, C = params.xi_agg, params.C_quad
     if phi_halfwidth is None:
         phi_halfwidth = _auto_phi_halfwidth(xi)

@@ -186,6 +186,35 @@ class TestRateCommand:
         assert len(lines) == 1
         assert lines[0].startswith("error: gvd_kappa0 must be finite and nonzero")
 
+    def test_valid_tol_flag_reaches_the_oracle(self, capsys):
+        # 1e-12 is a valid tolerance, tighter than the oracle's refinement reaches
+        code, out, err = run_cli(capsys, "rate", "--config", PPKTP_CONFIG, "--oracle",
+                                 "--tol", "1e-12")
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error:")
+        assert "refinement estimate" in lines[0]
+        assert lines[0].endswith("exceeds tolerance 1.000e-12")
+
+    # n_p < n_1 = n_2 and a tight pump focus: xi_agg = -0.0205, A+B+ = -2400;
+    # the closed form needs distinct signal and idler group indices
+    @pytest.mark.parametrize("ng_2, mode", [(1.25, []),
+                                            (1.2, ["--degenerate", "--kappa0", "1e-25"])],
+                             ids=["closed_form", "degenerate"])
+    def test_negative_aggregate_parameters_are_one_error_line(self, capsys, tmp_path, ng_2,
+                                                              mode):
+        doc = load_json(PPKTP_CONFIG)
+        doc["material"]["indices"].update(n_p=1.0, n_1=3.0, n_2=3.0, ng_p=1.1, ng_1=1.2,
+                                          ng_2=ng_2)
+        doc["beams"].update(waist_p_m=5e-6, waist_1_m=200e-6, waist_2_m=200e-6)
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg, *mode)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: aggregate parameters xi=-0.02051, A+B+=-2400 must be positive and "
+            "finite; configuration outside the validity of the rate formula"
+        ]
+
     def test_underflowing_waist_is_domain_error(self, capsys, tmp_path):
         # k w0^2 underflows to 0: no Rayleigh range, no focal parameter
         doc = load_json(PPKTP_CONFIG)
@@ -465,6 +494,24 @@ class TestScanRowsMatchLibrary:
         self.test_rows_equal_per_point_library_calls(
             capsys, config_path, variable, lo, hi, points, log, statuses)
 
+    @pytest.mark.parametrize("edit, variable, lo, hi, statuses", [
+        # the configured pump waist underflows its Rayleigh range, so `rate`
+        # exits 2 and the array pass fails as a whole; every row comes from
+        # the per-point path, whose own waists replace the failing one
+        ({"beams": {"waist_p_m": 1e-200}}, "waist", 2e-5, 4e-5, {"ok"}),
+        # a 10 m crystal: delta_k Lz overflows to inf on the last two points
+        ({"material": {"crystal_length_m": 10.0},
+          "beams": {"waist_p_m": 7.9e-4, "waist_1_m": 1.13e-3, "waist_2_m": 1.1e-3}},
+         "delta_k", 1e307, 1.7e308, {"DomainError"}),
+    ], ids=["failing_beams", "overflowing_phase"])
+    def test_edited_config(self, capsys, tmp_path, edit, variable, lo, hi, statuses):
+        doc = load_json(PPKTP_CONFIG)
+        for block, values in edit.items():
+            doc[block].update(values)
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        self.test_rows_equal_per_point_library_calls(
+            capsys, cfg, variable, lo, hi, 3, False, statuses)
+
 
 class TestRepeatedCalls:
     """Calls in one process leave nothing behind for the next."""
@@ -522,7 +569,7 @@ def test_closed_stdout_exits_1_quietly():
 
 
 class TestUsageErrors:
-    """argparse's usage errors exit 1 with one error line, as validation errors do."""
+    """Usage errors, argparse's and the commands' own, exit 1 with one error line."""
 
     @pytest.mark.parametrize("args, message", [
         (("scan", "--config", PPKTP_CONFIG, "--variable", "xi", "--range", "1:2",
@@ -533,8 +580,15 @@ class TestUsageErrors:
         ((), "error: the following arguments are required: command"),
         (("rate", "--config", PPKTP_CONFIG, "--bogus"),
          "error: unrecognized arguments: --bogus"),
+        (("rate", "--config", PPKTP_CONFIG, "--degenerate"),
+         "error: --degenerate requires --kappa0 <s^2/m>"),
+        (("scan", "--config", PPKTP_CONFIG, "--variable", "xi", "--range=0:2",
+          "--points", "3", "--log"), "error: log-spaced scans need a positive lower bound"),
+        (("scan", "--config", PPKTP_CONFIG, "--variable", "xi", "--range=-1:2",
+          "--points", "3", "--log"), "error: log-spaced scans need a positive lower bound"),
     ], ids=["bad_points", "rate_without_config", "optimize_without_config",
-            "no_command", "unknown_flag"])
+            "no_command", "unknown_flag", "degenerate_without_kappa0", "log_from_zero",
+            "log_from_negative"])
     def test_usage_error_exits_1(self, capsys, args, message):
         code, out, err = run_cli(capsys, *args)
         assert code == 1 and out == ""
@@ -605,7 +659,7 @@ class TestConfigLoading:
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "on a pole of the sellmeier model" in lines[0]
+        assert "pole: wavelength" in lines[0] and "on a pole of the sellmeier model" in lines[0]
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 10 ** 400],

@@ -108,7 +108,9 @@ POLE_L = (1.55e-6 / 1e-6) * (1.55e-6 / 1e-6)
 @pytest.mark.parametrize("index", [refractive_index, group_index],
                          ids=lambda index: index.__name__)
 def test_pole_at_the_wavelength_raises_domain_error(index, model):
-    with pytest.raises(DomainError, match=f"1.5500e-06 m lies on a pole of the {model.form} model"):
+    # no axis: the message names the material alone, with no trailing "/"
+    with pytest.raises(DomainError, match=f"^{model.material_name}: wavelength 1.5500e-06 m "
+                       f"lies on a pole of the {model.form} model"):
         index(model, 1.55e-6)
 
 
@@ -279,8 +281,8 @@ class TestLoader:
             assert _range_grid(lo, hi) == np.linspace(lo, hi, 64).tolist()
 
     def test_pole_on_a_grid_wavelength_rejected(self, tmp_path):
-        # a Sellmeier pole exactly at the first grid wavelength: n^2 has a
-        # zero divisor there, which must read as unphysical, not raise
+        # a Sellmeier pole exactly at the first grid wavelength: the range
+        # check names the file and the pole, as an evaluation there would
         import json
 
         lo = 4e-7
@@ -292,7 +294,8 @@ class TestLoader:
         }
         bad = tmp_path / "pole.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="n\\^2 = nan"):
+        with pytest.raises(ConfigError, match=r"pole\.json: pole: wavelength 4\.0000e-07 m lies "
+                           "on a pole of the sellmeier model"):
             load_dispersion_model(bad)
 
     def test_builtins_enumerate_and_load(self):

@@ -807,3 +807,34 @@ class TestNanInputs:
         with pytest.raises(DomainError, match="gvd_kappa0 must be finite and nonzero"):
             pairs_degenerate_numeric(ppktp_material, ppktp_base_beams,
                                      narrowband_pump, kappa0)
+
+    @pytest.mark.parametrize("omega1", [NAN, math.inf, -math.inf])
+    def test_non_finite_frequency_raises_domain_error(
+        self, ppktp_material, ppktp_base_beams, narrowband_pump, omega1
+    ):
+        w20 = 2 * math.pi * C / ppktp_base_beams.idler.lambda_vac
+        for call in (lambda: overlap_value(omega1, w20, ppktp_material, ppktp_base_beams),
+                     lambda: jsa_value(np.array([w20, omega1]), w20, narrowband_pump,
+                                       ppktp_material, ppktp_base_beams)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="axial integral"):
+                    call()
+
+
+def test_negative_aggregate_parameters_raise_on_every_rate_path(narrowband_pump):
+    """n_p < n_1 = n_2 with a tight pump focus gives xi_agg = -0.0205 and
+    A+B+ = -2400: the closed form and both oracles refuse them alike, before
+    the oracle's error terms could overflow."""
+    def setup(ng_2):
+        material = MaterialOptics(ng_p=1.1, ng_1=1.2, ng_2=ng_2, d_eff=2.4e-12)
+        beams = BeamTriple(GaussianMode(775e-9, 1.0, 5e-6), GaussianMode(1550e-9, 3.0, 200e-6),
+                           GaussianMode(1550e-9, 3.0, 200e-6), crystal_length=0.01)
+        return material, beams
+
+    # the linear paths need distinct signal and idler group indices
+    for call in (lambda: pairs_closed_form(*setup(1.25)),
+                 lambda: pairs_via_bruteforce(*setup(1.25), narrowband_pump),
+                 lambda: pairs_degenerate_numeric(*setup(1.2), narrowband_pump, 1e-25)):
+        with pytest.raises(DomainError, match=r"xi=-0\.02051, A\+B\+=-2400 must be positive"):
+            call()
