@@ -114,15 +114,15 @@ def _scan_rows(config: ExperimentConfig, variable: str, grid: list):
         res = pairs_closed_form(material, base, CONSTANTS)
         kept = (res.xi_agg, res.a_plus_b_plus)
         params = overlap_params(base)
-        zero = abs(ell_integral(0.0, params.xi_agg, params.C_quad)) ** 2
+        zero = ell_integral(0.0, params.xi_agg, params.C_quad) ** 2
     except SpdcError as exc:
         yield from itertools.repeat((nan, *kept, type(exc).__name__), len(grid))
         return
     for x in grid:
-        # on-axis suppression |I(phi)|^2 / |I(0)|^2 at phi = delta_k Lz
+        # on-axis suppression I(phi)^2 / I(0)^2 (I is real) at phi = delta_k Lz
         phi = x * base.crystal_length
         try:
-            here = abs(ell_integral(phi, params.xi_agg, params.C_quad)) ** 2
+            here = ell_integral(phi, params.xi_agg, params.C_quad) ** 2
         except SpdcError as exc:
             yield (nan, *kept, type(exc).__name__)
         else:
@@ -140,10 +140,11 @@ def _closed_form_pass(config: ExperimentConfig, variable: str, grid: list):
         material = config.material_optics()
         base = config.beam_triple()
         modes = (base.pump, base.signal, base.idler)
-        waists, Lz, valid = base.waists(), base.crystal_length, True
-        with np.errstate(all="ignore"):  # failing points give inf or NaN and ok false
+        waists, Lz = base.waists(), base.crystal_length
+        # failing points give inf or NaN and ok false; xi <= 0 gives NaN or inf waists
+        with np.errstate(all="ignore"):
             if variable == "xi":
-                waists, valid = equal_focus_waists(base, x), x > 0.0
+                waists = equal_focus_waists(base, x)
             elif variable == "waist":
                 waists = (x, x, x)
             else:
@@ -152,7 +153,7 @@ def _closed_form_pass(config: ExperimentConfig, variable: str, grid: list):
                                                          CONSTANTS)
     except SpdcError:
         return itertools.repeat((math.nan, math.nan, math.nan, False), len(grid))
-    return zip(rate.tolist(), xi_agg.tolist(), ab.tolist(), (ok & valid).tolist())
+    return zip(rate.tolist(), xi_agg.tolist(), ab.tolist(), ok.tolist())
 
 
 def _point_row(config: ExperimentConfig, variable: str, x: float) -> tuple:

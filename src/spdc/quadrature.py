@@ -8,9 +8,9 @@ batches of axial integrals inside the brute-force rate integrals, and
 ``panel_edges``/``panel_nodes`` for the layouts. ``ell_integral`` uses one
 rule per call, sized by the call's largest |phi|, with its folded nodes
 and weights cached by rule, xi and C. Its integrand is conjugate at l and
--l, so the axial integral is real: the rule is folded onto its nodes
-x >= 0, and J offsets by M phases on an n-node rule cost
-(J + M) ceil(n / 2) complex exponentials and one real matrix product.
+-l, so the axial integral is real and is returned as a float: the rule is
+folded onto its nodes x >= 0, and J offsets by M phases on an n-node rule
+cost (J + M) ceil(n / 2) complex exponentials and one real matrix product.
 No layout may hold more than ``MAX_PANELS`` panels; one that would raises
 before its nodes are built. ``complex_quad`` walks a long layout in blocks
 of ``_BLOCK_PANELS`` panels, so its arrays stay small whatever the layout.
@@ -126,8 +126,8 @@ def _ell_rule_size(phi_abs: float, xi_abs: float) -> int:
     """
     n = 0.78 * phi_abs + 10.0 * xi_abs + 24
     if not (n <= 4000):
-        raise DomainError(f"axial integral at |phi| = {phi_abs:.4g}, xi = "
-                          f"{xi_abs:.4g} needs more than 4000 Gauss-Legendre nodes")
+        raise DomainError(f"axial integral at |phi| = {phi_abs:.4g}, xi = {xi_abs:.4g}: the "
+                          "phase must be finite and need at most 4000 Gauss-Legendre nodes")
     return int(max(64, n))
 
 
@@ -137,15 +137,15 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     This is the reduced axial factor of the Gaussian overlap integral,
     evaluated with one fixed-order Gauss-Legendre rule per call, sized by
     the call's largest |phi|, so that large batches of phase-mismatch
-    values are cheap. Accepts scalar or array ``phi``; returns complex of
-    the same shape. A NaN or infinite phase, offset or xi, or a phase
-    needing over 4000 nodes, raises DomainError.
+    values are cheap. Accepts scalar or array ``phi``; returns a float, or
+    a float64 array of the same shape. A NaN or infinite phase, offset or
+    xi, or a phase needing over 4000 nodes, raises DomainError.
 
     For real phi, xi and C the integrand f obeys f(-l) = conj f(l), so I is
     real: the nodes +x and -x share their weight, and their two terms sum
     to twice the weight times Re f(x). The rule is therefore summed over
     its h = ceil(n / 2) nodes x >= 0 (the middle node of an odd rule counts
-    once), and the returned imaginary part is exactly 0.
+    once), and only that real sum is formed.
 
     With ``offsets`` (a 1-D sequence a_j), returns I(offsets[j] + phi[k])
     with shape ``(len(offsets),) + phi.shape``. The exponential factors,
@@ -163,7 +163,7 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
         # one phase: the general path's arithmetic without its array bookkeeping
         phi = float(phi)
         x, g = _ell_weights(_ell_rule_size(abs(phi), abs(xi)), xi, C)
-        return complex(g @ np.exp(0.5j * (x * phi)).view(float))
+        return float(g @ np.exp(0.5j * (x * phi)).view(float))
     phi_arr = np.asarray(phi, dtype=float)
     a = np.asarray([0.0] if offsets is None else offsets, dtype=float).ravel()
     b = phi_arr.ravel()
@@ -182,8 +182,7 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     for start in range(0, b.size, block):
         cols = slice(start, start + block)
         out[:, cols] = rows @ np.exp(0.5j * np.outer(b[cols], x)).view(float).T
-    result = out.astype(complex).reshape(shape)
-    return complex(result) if result.ndim == 0 else result
+    return out.reshape(shape) if shape else float(out[0, 0])
 
 
 def panel_count(length: float, max_width: float) -> int:

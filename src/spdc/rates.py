@@ -47,6 +47,8 @@ _WINDOW_TARGET = 1e-4
 # lobe exp(-|phi| / xi) is target^k and its cross term with the 1/phi tail
 # target^(k/2) times 8 / (pi xi Phi); k = 1.5 puts both under the target
 _LOBE_WINDOW_FACTOR = 1.5
+# widest phi window half-width of the brute-force integrals: it bounds the dwm grid
+_MAX_PHI_HALFWIDTH = 2.0e4
 # Gauss-Hermite pump-axis order on the fine pass (the coarse pass takes half)
 # and the most the phase spread of a broadband pump may raise it to
 _PUMP_ORDER = 8
@@ -259,14 +261,14 @@ def _auto_phi_halfwidth(xi: float) -> float:
     target). The second is the lobe exp(-|phi| / xi) of the pole at
     l = i / xi, which the 1/phi^2 series does not see, so
     Phi >= k xi ln(1 / target). The floor of 50 keeps the window where the
-    asymptotic tail series holds; the cap of 2e4 bounds the grid.
+    asymptotic tail series holds; ``_MAX_PHI_HALFWIDTH`` caps it.
     """
     x = abs(xi)
     if x < 1e-12:
         coeff = 2.0 / math.pi  # limit of the tail coefficient as xi -> 0
     else:
         coeff = 2.0 * x / (math.pi * (1.0 + x * x) * math.atan(x))
-    return min(2.0e4, max(
+    return min(_MAX_PHI_HALFWIDTH, max(
         50.0,
         math.sqrt(coeff / _WINDOW_TARGET),
         _LOBE_WINDOW_FACTOR * x * math.log(1.0 / _WINDOW_TARGET),
@@ -323,27 +325,27 @@ def _bruteforce_rate(
     pump: PumpSpec,
     constants: PhysicalConstants,
     quad_tol: float,
-    coeff_p: float,
-    coeff_m: float,
-    power: int,
     phi_halfwidth: Optional[float],
-    diag: dict,
+    gvd_kappa0: Optional[float] = None,
 ) -> RateResult:
     """Integrate |psi|^2 of the joint spectral amplitude over both detunings.
 
     The phase mismatch is phi = coeff_p dwp + coeff_m dwm^power in the sum
-    (dwp) and difference (dwm) detunings: power 1 is linear phase
-    matching, power 2 the degenerate quadratic one. The pump axis is
-    a Gauss-Hermite rule for the Gaussian pump density and the dwm axis
-    Gauss-Legendre panels over the phi window; a pass with half the pump
-    nodes and half as many dwm panels gives the refinement estimate. The
-    analytic 1/phi^2 tail beyond the window is added to the window
-    integral, and the error estimate adds the refinement difference, the
-    next-order tail term and the pole lobe beyond the window. Each pass
-    gets its whole table of axial integrals from one ``ell_integral`` call
-    with the pump rows as ``offsets``, so the complex exponentials number
-    (pump rows + dwm columns) per node x >= 0 of the folded rule, half the
-    rule's nodes, and the table is one real matrix product.
+    (dwp) and difference (dwm) detunings, with power 1 and the coefficients
+    of ``phase_mismatch_coefficients`` (linear phase matching), or with
+    ``gvd_kappa0`` power 2 and coeff_m = kappa0 Lz / 4 (degenerate). A given
+    ``phi_halfwidth`` outside (0, ``_MAX_PHI_HALFWIDTH``] raises DomainError
+    before any grid is built. The pump axis is a Gauss-Hermite rule for the
+    Gaussian pump density and the dwm axis Gauss-Legendre panels over the
+    phi window; a pass with half the pump nodes and half as many dwm panels
+    gives the refinement estimate. The analytic 1/phi^2 tail beyond the
+    window is added to the window integral, and the error estimate adds the
+    refinement difference, the next-order tail term and the pole lobe beyond
+    the window. Each pass gets its whole table of axial integrals from one
+    ``ell_integral`` call with the pump rows as ``offsets``, so the complex
+    exponentials number (pump rows + dwm columns) per node x >= 0 of the
+    folded rule, half the rule's nodes, and the real table is one matrix
+    product.
     """
     if not (quad_tol > 0.0):
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")
@@ -351,6 +353,14 @@ def _bruteforce_rate(
     xi, C = params.xi_agg, params.C_quad
     if phi_halfwidth is None:
         phi_halfwidth = _auto_phi_halfwidth(xi)
+    elif not (0.0 < phi_halfwidth <= _MAX_PHI_HALFWIDTH):
+        raise DomainError(f"phi_halfwidth {phi_halfwidth} not in (0, {_MAX_PHI_HALFWIDTH:g}]")
+    Lz = beams.crystal_length
+    coeff_p, coeff_m = phase_mismatch_coefficients(material.ng_p, material.ng_1,
+                                                   material.ng_2, Lz, constants.c)
+    power, diag = 1, {}
+    if gvd_kappa0 is not None:
+        power, coeff_m, diag = 2, 0.25 * gvd_kappa0 * Lz, {"gvd_kappa0": gvd_kappa0}
 
     sigma = pump.bandwidth
     order = _pump_rule_order(abs(coeff_p) * sigma)
@@ -375,7 +385,7 @@ def _bruteforce_rate(
             "dwm_nodes": dwm.size,
             "phi_grid": axial.shape,
         }
-        return float(x_w @ (np.abs(axial) ** 2 @ dwm_w))
+        return float(x_w @ ((axial * axial) @ dwm_w))
 
     # a non-finite pass makes the refinement estimate NaN or inf, which the
     # check below rejects, so numpy's floating-point warnings would only
@@ -467,14 +477,7 @@ def pairs_via_bruteforce(
     quadrature refinement estimate must come in under ``quad_tol``.
     """
     _require_nondegenerate(material)
-    coeff_p, coeff_m = phase_mismatch_coefficients(
-        material.ng_p, material.ng_1, material.ng_2,
-        beams.crystal_length, constants.c,
-    )
-    return _bruteforce_rate(
-        material, beams, pump, constants, quad_tol,
-        coeff_p, coeff_m, 1, phi_halfwidth, {},
-    )
+    return _bruteforce_rate(material, beams, pump, constants, quad_tol, phi_halfwidth)
 
 
 def pairs_degenerate_numeric(
@@ -501,14 +504,8 @@ def pairs_degenerate_numeric(
             f"gvd_kappa0 must be finite and nonzero for the degenerate path, "
             f"got {gvd_kappa0}"
         )
-    Lz = beams.crystal_length
-    coeff_p, _ = phase_mismatch_coefficients(
-        material.ng_p, material.ng_1, material.ng_2, Lz, constants.c
-    )
-    return _bruteforce_rate(
-        material, beams, pump, constants, quad_tol,
-        coeff_p, 0.25 * gvd_kappa0 * Lz, 2, phi_halfwidth, {"gvd_kappa0": gvd_kappa0},
-    )
+    return _bruteforce_rate(material, beams, pump, constants, quad_tol, phi_halfwidth,
+                            gvd_kappa0)
 
 
 def overlap_value(
@@ -530,7 +527,9 @@ def overlap_value(
     coeff_p, coeff_m = phase_mismatch_coefficients(
         material.ng_p, material.ng_1, material.ng_2, beams.crystal_length, constants.c,
     )
-    phi = coeff_p * (d1 + d2) + coeff_m * (d1 - d2)
+    # an overflowing or inf - inf phase is left to ell_integral, which refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = coeff_p * (d1 + d2) + coeff_m * (d1 - d2)
     pref = overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
     return pref * ell_integral(phi, params.xi_agg, params.C_quad)
 
@@ -570,11 +569,11 @@ def jsa_value(
     ``overlap_value``. N_p = 1: |psi|^2 integrated over both frequencies is
     the pair probability per pump photon. Accepts arrays.
     """
+    # O first: it refuses a non-finite phase before the pump detuning could warn
+    overlap = overlap_value(omega1, omega2, material, beams, constants)
     wp0 = _angular_frequency(beams.pump.lambda_vac, constants)
     s = pump.spectral_amplitude(np.asarray(omega1) + np.asarray(omega2) - wp0)
-    return _jsa_prefactor(material, beams, constants) * s * overlap_value(
-        omega1, omega2, material, beams, constants
-    )
+    return _jsa_prefactor(material, beams, constants) * s * overlap
 
 
 def bennink_ratio(

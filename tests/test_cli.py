@@ -104,7 +104,7 @@ class TestRateCommand:
 
         monkeypatch.setattr(
             spdc.rates, "ell_integral",
-            lambda b, xi, C, offsets: np.full((len(offsets), len(b)), complex(math.nan)),
+            lambda b, xi, C, offsets: np.full((len(offsets), len(b)), math.nan),
         )
         code, _, err = run_cli(capsys, "rate", "--config", PPKTP_CONFIG, "--oracle")
         assert code == 2

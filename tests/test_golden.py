@@ -38,6 +38,8 @@ def _commands() -> dict:
         config = ["--config", str(CONFIG_DIR / f"{name}.json")]
         commands[f"{name}.rate"] = ["rate", *config]
         commands[f"{name}.rate_oracle"] = ["rate", *config, "--oracle"]
+        commands[f"{name}.rate_degenerate"] = ["rate", *config, "--degenerate",
+                                               "--kappa0", "1e-25"]
         commands[f"{name}.optimize"] = ["optimize", *config]
         for variable, span in SCANS.items():
             commands[f"{name}.scan_{variable}"] = ["scan", *config, "--variable", variable,

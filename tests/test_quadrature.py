@@ -62,7 +62,8 @@ class TestOffsets:
         assert len(set(sizes)) == 1
 
     def test_shapes(self):
-        assert isinstance(ell_integral(3.0, 1.0), complex)
+        assert isinstance(ell_integral(3.0, 1.0), float)
+        assert isinstance(ell_integral(np.array(3.0), 1.0), float)
         assert ell_integral(3.0, 1.0, offsets=[0.0, 1.0]).shape == (2,)
         assert ell_integral(np.zeros((2, 3)), 1.0).shape == (2, 3)
         assert ell_integral(np.zeros((2, 3)), 1.0, offsets=[1.0]).shape == (1, 2, 3)
@@ -206,11 +207,12 @@ class TestRealValue:
 
     @pytest.mark.parametrize("xi, C", CASES)
     def test_imaginary_part_is_exactly_zero(self, xi, C):
+        # only the real sum is formed: a float, or a float64 array
         for phi in self.SCALAR_PHASES:
-            assert ell_integral(phi, xi, C).imag == 0.0
-        assert np.all(ell_integral(self.PHASES, xi, C).imag == 0.0)
+            assert type(ell_integral(phi, xi, C)) is float
+        assert ell_integral(self.PHASES, xi, C).dtype == np.float64
         got = ell_integral(self.PHASES, xi, C, offsets=OFFSETS + 3.5)
-        assert np.all(got.imag == 0.0)
+        assert got.dtype == np.float64
 
     @pytest.mark.parametrize("phi, xi, parity", [
         (100.0, 1.0, 0), (101.3, 1.0, 1), (100.0, 0.1, 1), (101.3, 0.1, 0),

@@ -448,6 +448,21 @@ class TestPhiWindow:
                 return res, quad_coeff * w_minus ** 2
         return run
 
+    @pytest.mark.parametrize("phi_halfwidth", [0.0, -1.0, math.nan, math.inf, 1e9])
+    def test_window_outside_the_cap_raises_before_any_grid(
+        self, oracle, monkeypatch, phi_halfwidth
+    ):
+        import spdc.rates
+
+        def no_grid(*args):
+            raise AssertionError("dwm grid built for a refused window")
+
+        monkeypatch.setattr(spdc.rates, "_dwm_panel_edges", no_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"phi_halfwidth .* not in \(0, 20000\]"):
+                oracle(phi_halfwidth)
+
     def test_window_edge_maps_to_phi_halfwidth(self, oracle):
         res, phi_edge = oracle(50.0)
         assert res.diagnostics["phi_halfwidth"] == 50.0
@@ -808,14 +823,21 @@ class TestNanInputs:
             pairs_degenerate_numeric(ppktp_material, ppktp_base_beams,
                                      narrowband_pump, kappa0)
 
-    @pytest.mark.parametrize("omega1", [NAN, math.inf, -math.inf])
+    # a None omega2 is the idler centre; the last two pairs give a phase of
+    # inf - inf and one whose sum detuning overflows
+    @pytest.mark.parametrize("omega1, omega2", [
+        (NAN, None), (math.inf, None), (-math.inf, None), (math.inf, -math.inf), (1e308, 1e308),
+    ], ids=["nan", "inf", "-inf", "inf,-inf", "1e308,1e308"])
     def test_non_finite_frequency_raises_domain_error(
-        self, ppktp_material, ppktp_base_beams, narrowband_pump, omega1
+        self, ppktp_material, ppktp_base_beams, narrowband_pump, omega1, omega2
     ):
         w20 = 2 * math.pi * C / ppktp_base_beams.idler.lambda_vac
-        for call in (lambda: overlap_value(omega1, w20, ppktp_material, ppktp_base_beams),
-                     lambda: jsa_value(np.array([w20, omega1]), w20, narrowband_pump,
-                                       ppktp_material, ppktp_base_beams)):
+        omega2 = w20 if omega2 is None else omega2
+        for call in (lambda: overlap_value(omega1, omega2, ppktp_material, ppktp_base_beams),
+                     lambda: jsa_value(omega1, omega2, narrowband_pump,
+                                       ppktp_material, ppktp_base_beams),
+                     lambda: jsa_value(np.array([w20, omega1]), np.array([w20, omega2]),
+                                       narrowband_pump, ppktp_material, ppktp_base_beams)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match="axial integral"):
