@@ -372,9 +372,12 @@ def main(argv=None) -> int:
         code = _dispatch(argv)
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader of stdout has gone (`spdc scan ... | head`): Python's
-        # recipe points stdout at devnull so that the exit flush stays quiet
+    except OSError as exc:
+        # the reader of stdout has gone (`spdc scan ... | head`), which ends
+        # quietly, or a write failed (`> /dev/full`): Python's recipe points
+        # stdout at devnull so that the exit flush stays quiet
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output ({exc.strerror})", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1

@@ -2,7 +2,7 @@
 
 Configs are JSON with four blocks (``material``, ``beams``, ``pump``,
 ``run``) and SI base units only; no unit suffixes are accepted, so a
-wavelength is always meters and a power always watts. The material block
+wavelength is always meters and a bandwidth always rad/s. The material block
 carries either literal indices or references to dispersion files
 ("builtin:<name>" or a path resolved relative to the config file).
 """
@@ -210,8 +210,6 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     indices = _indices_from_block(material, (lam_p, lam_1, lam_2), base_dir)
 
-    # validated, not stored: rates are per mW of pump power
-    _positive(_get(pump, "power_W", "pump"), "pump.power_W")
     bandwidth = _positive(
         _get(pump, "bandwidth_rad_s", "pump"), "pump.bandwidth_rad_s"
     )
@@ -245,7 +243,8 @@ def load_table_fixture(path) -> list:
     required), optional R_exp (experimental; metadata only, never used in
     pass/fail) and a per-row relative tolerance. Values with uncertainties
     are [central, uncertainty] pairs; only centrals are computed with.
-    Numbers must be finite, the revised rate and the tolerance positive.
+    Numbers must be finite; the correction factor, the revised rate and the
+    tolerance must be positive.
     """
     path = Path(path)
     rows = _read_json_object(path, "table fixture").get("rows")
@@ -271,7 +270,7 @@ def load_table_fixture(path) -> list:
             raise ConfigError(f"{path}: every row needs a 'name'")
         out.append({
             "name": name,
-            "correction_factor": central(row, name, "correction_factor"),
+            "correction_factor": central(row, name, "correction_factor", positive=True),
             "rate_published": central(row, name, "R_th_published_per_s_per_mW"),
             "rate_revised": central(row, name, "R_th_revised_per_s_per_mW", positive=True),
             "rate_experimental": (

@@ -41,13 +41,14 @@ from .quadrature import ell_integral, panel_nodes
 _MILLIWATT = 1e-3
 # relative ng_1 == ng_2 threshold below which the linear model is refused
 _DEGENERATE_NG_RTOL = 1e-9
-# relative error the default phi window is sized for, per error term
+# relative error the phi window is sized for, per error term
 _WINDOW_TARGET = 1e-4
-# k in the default window's pole-lobe reach k xi ln(1 / target), where the
+# k in the window's pole-lobe reach k xi ln(1 / target), where the
 # lobe exp(-|phi| / xi) is target^k and its cross term with the 1/phi tail
 # target^(k/2) times 8 / (pi xi Phi); k = 1.5 puts both under the target
 _LOBE_WINDOW_FACTOR = 1.5
-# widest phi window half-width of the brute-force integrals: it bounds the dwm grid
+# cap on the derived phi window half-width, which grows like xi: it bounds the
+# dwm grid at absurd xi (from ~1,450), whose phases ell_integral then refuses
 _MAX_PHI_HALFWIDTH = 2.0e4
 # Gauss-Hermite pump-axis order on the fine pass (the coarse pass takes half)
 # and the most the phase spread of a broadband pump may raise it to
@@ -252,7 +253,7 @@ def pairs_closed_form(
 
 
 def _auto_phi_halfwidth(xi: float) -> float:
-    """Default phi window half-width of the brute-force integrals.
+    """The phi window half-width of the brute-force integrals.
 
     After the 1/phi^2 tail correction two errors are left, each sized here
     to ``_WINDOW_TARGET`` of the rate. The first is the next-order tail
@@ -261,7 +262,8 @@ def _auto_phi_halfwidth(xi: float) -> float:
     target). The second is the lobe exp(-|phi| / xi) of the pole at
     l = i / xi, which the 1/phi^2 series does not see, so
     Phi >= k xi ln(1 / target). The floor of 50 keeps the window where the
-    asymptotic tail series holds; ``_MAX_PHI_HALFWIDTH`` caps it.
+    asymptotic tail series holds; ``_MAX_PHI_HALFWIDTH`` caps it, so the dwm
+    grid stays bounded at any xi.
     """
     x = abs(xi)
     if x < 1e-12:
@@ -325,7 +327,6 @@ def _bruteforce_rate(
     pump: PumpSpec,
     constants: PhysicalConstants,
     quad_tol: float,
-    phi_halfwidth: Optional[float],
     gvd_kappa0: Optional[float] = None,
 ) -> RateResult:
     """Integrate |psi|^2 of the joint spectral amplitude over both detunings.
@@ -333,28 +334,24 @@ def _bruteforce_rate(
     The phase mismatch is phi = coeff_p dwp + coeff_m dwm^power in the sum
     (dwp) and difference (dwm) detunings, with power 1 and the coefficients
     of ``phase_mismatch_coefficients`` (linear phase matching), or with
-    ``gvd_kappa0`` power 2 and coeff_m = kappa0 Lz / 4 (degenerate). A given
-    ``phi_halfwidth`` outside (0, ``_MAX_PHI_HALFWIDTH``] raises DomainError
-    before any grid is built. The pump axis is a Gauss-Hermite rule for the
-    Gaussian pump density and the dwm axis Gauss-Legendre panels over the
-    phi window; a pass with half the pump nodes and half as many dwm panels
-    gives the refinement estimate. The analytic 1/phi^2 tail beyond the
-    window is added to the window integral, and the error estimate adds the
-    refinement difference, the next-order tail term and the pole lobe beyond
-    the window. Each pass gets its whole table of axial integrals from one
-    ``ell_integral`` call with the pump rows as ``offsets``, so the complex
-    exponentials number (pump rows + dwm columns) per node x >= 0 of the
-    folded rule, half the rule's nodes, and the real table is one matrix
-    product.
+    ``gvd_kappa0`` power 2 and coeff_m = kappa0 Lz / 4 (degenerate). The
+    phi window is always ``_auto_phi_halfwidth(xi)``. The pump axis is a
+    Gauss-Hermite rule for the Gaussian pump density and the dwm axis
+    Gauss-Legendre panels over the window; a pass with half the pump nodes
+    and half as many dwm panels gives the refinement estimate. The analytic
+    1/phi^2 tail beyond the window is added to the window integral, and the
+    error estimate adds the refinement difference, the next-order tail term
+    and the pole lobe beyond the window. Each pass gets its whole table of
+    axial integrals from one ``ell_integral`` call with the pump rows as
+    ``offsets``, so the complex exponentials number (pump rows + dwm
+    columns) per node x >= 0 of the folded rule, half the rule's nodes, and
+    the real table is one matrix product.
     """
     if not (quad_tol > 0.0):
         raise DomainError(f"quad_tol must be positive, got {quad_tol}")
     params = _positive_params(beams)
     xi, C = params.xi_agg, params.C_quad
-    if phi_halfwidth is None:
-        phi_halfwidth = _auto_phi_halfwidth(xi)
-    elif not (0.0 < phi_halfwidth <= _MAX_PHI_HALFWIDTH):
-        raise DomainError(f"phi_halfwidth {phi_halfwidth} not in (0, {_MAX_PHI_HALFWIDTH:g}]")
+    phi_halfwidth = _auto_phi_halfwidth(xi)
     Lz = beams.crystal_length
     coeff_p, coeff_m = phase_mismatch_coefficients(material.ng_p, material.ng_1,
                                                    material.ng_2, Lz, constants.c)
@@ -461,8 +458,6 @@ def pairs_via_bruteforce(
     pump: PumpSpec,
     constants: PhysicalConstants = CONSTANTS,
     quad_tol: float = 1e-4,
-    *,
-    phi_halfwidth: Optional[float] = None,
 ) -> RateResult:
     """Pair probability by 2-D quadrature of the frequency-space integral.
 
@@ -471,13 +466,13 @@ def pairs_via_bruteforce(
     coordinates, with the linear phase-mismatch model and the axial integral
     evaluated pointwise (no delta-function reduction). The squared axial
     integral has a slowly decaying 1/phi^2 tail, which is added
-    analytically beyond the phi window; the default window keeps what that
-    leaves out (the next-order tail term and the pole lobe at large xi)
-    near 1e-4 of the rate, and ``phi_halfwidth`` overrides it. The
-    quadrature refinement estimate must come in under ``quad_tol``.
+    analytically beyond the phi window; the window, derived from xi, keeps
+    what that leaves out (the next-order tail term and the pole lobe at
+    large xi) near 1e-4 of the rate. The quadrature refinement estimate
+    must come in under ``quad_tol``.
     """
     _require_nondegenerate(material)
-    return _bruteforce_rate(material, beams, pump, constants, quad_tol, phi_halfwidth)
+    return _bruteforce_rate(material, beams, pump, constants, quad_tol)
 
 
 def pairs_degenerate_numeric(
@@ -487,8 +482,6 @@ def pairs_degenerate_numeric(
     gvd_kappa0: float,
     constants: PhysicalConstants = CONSTANTS,
     quad_tol: float = 1e-4,
-    *,
-    phi_halfwidth: Optional[float] = None,
 ) -> RateResult:
     """Pair probability for quadratic (degenerate type-0/I) phase matching.
 
@@ -496,16 +489,15 @@ def pairs_degenerate_numeric(
     detuning entering the mismatch quadratically,
     phi = a dwp + (kappa0 / 4) dwm^2 Lz; no closed form is claimed for this
     case. ``gvd_kappa0`` is the group-velocity-dispersion coefficient at the
-    degenerate point (s^2/m). The default phi window is the linear-model
-    one, which is conservative here because the tail decays faster in dwm.
+    degenerate point (s^2/m). The phi window is the linear-model one,
+    which is conservative here because the tail decays faster in dwm.
     """
     if not (math.isfinite(gvd_kappa0) and gvd_kappa0 != 0.0):
         raise DomainError(
             f"gvd_kappa0 must be finite and nonzero for the degenerate path, "
             f"got {gvd_kappa0}"
         )
-    return _bruteforce_rate(material, beams, pump, constants, quad_tol, phi_halfwidth,
-                            gvd_kappa0)
+    return _bruteforce_rate(material, beams, pump, constants, quad_tol, gvd_kappa0)
 
 
 def overlap_value(

@@ -1,21 +1,25 @@
 """Command-line interface: parsing, outputs, determinism, exit codes."""
 
+import contextlib
 import copy
 import dataclasses
 import inspect
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdc.cli import MAX_SCAN_POINTS, build_parser, main
-from spdc.config import ExperimentConfig, load_config, parse_config
-from spdc.errors import SpdcError
+from spdc.cli import MAX_SCAN_POINTS, build_parser, cmd_table, main
+from spdc.config import ExperimentConfig, load_config, load_table_fixture, parse_config
+from spdc.errors import ConfigError, SpdcError
 from spdc.materials import CONSTANTS
 from spdc.overlap import overlap_params
 from spdc.quadrature import ell_integral
@@ -41,6 +45,14 @@ def run_cli(capsys, *args):
     code = main([str(a) for a in args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment of a ``python -m spdc.cli`` child that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
+    return env
 
 
 def csv_rows(text):
@@ -245,11 +257,11 @@ class TestRateCommand:
 
     def test_missing_field_reports_name(self, capsys, tmp_path):
         doc = load_json(PPKTP_CONFIG)
-        del doc["pump"]["power_W"]
+        del doc["pump"]["bandwidth_rad_s"]
         cfg = write_json(tmp_path, "missing.json", doc)
         code, _, err = run_cli(capsys, "rate", "--config", cfg)
         assert code == 1
-        assert "pump.power_W" in err
+        assert "pump.bandwidth_rad_s" in err
 
 
 class TestScanCommand:
@@ -522,11 +534,8 @@ class TestRepeatedCalls:
 
     @staticmethod
     def fresh(*args):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-m", "spdc.cli", *map(str, args)],
-                              capture_output=True, text=True, env=env, check=False)
+                              capture_output=True, text=True, env=child_env(), check=False)
         return proc.returncode, proc.stdout, proc.stderr
 
     @pytest.mark.parametrize("first, second", [
@@ -555,17 +564,37 @@ def test_closed_stdout_exits_1_quietly():
     """`spdc scan ... | head -1`: exit 1, nothing on stderr, no traceback."""
     args = ("scan", "--config", PPKTP_CONFIG, "--variable", "xi", "--range", "0.1:5",
             "--points", "20000")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
     proc = subprocess.Popen([sys.executable, "-m", "spdc.cli", *map(str, args)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     first = proc.stdout.readline()
     proc.stdout.close()  # the 1.4 MB of rows cannot all sit in the pipe
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (1, b"")
     assert first.decode().rstrip("\n") == "x,pairs_per_s_per_mW,xi_agg,a_plus_b_plus,status"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args, unbuffered", [
+    (("rate", "--config", PPKTP_CONFIG), ""),
+    (("rate", "--config", PPKTP_CONFIG), "1"),
+    (("scan", "--config", PPKTP_CONFIG, "--variable", "xi", "--range", "0.1:5",
+      "--points", "5", "--out", "/dev/full"), ""),
+], ids=["rate_buffered_stdout", "rate_unbuffered_stdout", "scan_out"])
+def test_full_device_is_one_error_line(args, unbuffered):
+    """`spdc rate > /dev/full` and `scan --out /dev/full`: exit 1 with one error line.
+
+    Buffered stdout fails at the flush after the command, unbuffered at its
+    first print, and ``--out`` when the file is closed.
+    """
+    env = child_env()
+    env["PYTHONUNBUFFERED"] = unbuffered  # empty: buffered
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "spdc.cli", *map(str, args)],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output (")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 class TestUsageErrors:
@@ -726,11 +755,21 @@ class TestConfigLoading:
 
 
 def field_paths(doc, prefix=()):
-    """Key paths of every field of a JSON object, nested objects included."""
-    for key, value in doc.items():
+    """Key paths of every field of a JSON object, nested objects and arrays included."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
         yield prefix + (key,)
-        if isinstance(value, dict):
+        if isinstance(value, (dict, list)):
             yield from field_paths(value, prefix + (key,))
+
+
+def with_field(doc, path, value):
+    """A deep copy of ``doc`` with the field at key path ``path`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
 
 VALID_CONFIGS = [load_json(PPKTP_CONFIG), load_json(DISPERSION_CONFIG)]
@@ -749,16 +788,31 @@ JSON_VALUES = st.recursive(
 @given(field=st.sampled_from(CONFIG_FIELDS), value=JSON_VALUES)
 def test_parse_config_accepts_or_raises_spdc_error(field, value):
     index, path = field
-    doc = copy.deepcopy(VALID_CONFIGS[index])
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    doc = with_field(VALID_CONFIGS[index], path, value)
     try:
         result = parse_config(doc, CONFIG_DIR)
     except SpdcError:
         return
     assert isinstance(result, ExperimentConfig)
+
+
+TABLE_DOC = load_json(TABLE_FIXTURE)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(path=st.sampled_from(list(field_paths(TABLE_DOC))), value=JSON_VALUES)
+def test_table_fixture_loads_or_raises_config_error(path, value):
+    """A fixture either fails to load with ConfigError (exit 1, nothing on
+    stdout), or every row computes and the table passes (0) or fails (2)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fixture = pathlib.Path(tmp) / "table.cfg"
+        fixture.write_text(json.dumps(with_field(TABLE_DOC, path, value)))
+        try:
+            rows = load_table_fixture(fixture)
+        except ConfigError:
+            return
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cmd_table(rows) in (0, 2)
 
 
 class TestTableCommand:
@@ -793,10 +847,13 @@ class TestTableCommand:
         lambda doc: doc["rows"][0].update(R_th_revised_per_s_per_mW=0),
         lambda doc: doc["rows"][0].update(tolerance_rel=0),
         lambda doc: doc["rows"][0].update(correction_factor=math.nan),
+        lambda doc: doc["rows"][0].update(correction_factor=[0.0, 0.002]),
+        lambda doc: doc["rows"][0].update(correction_factor=-1.0),
         lambda doc: doc["rows"].append(5),
         lambda doc: doc["rows"],
     ], ids=["factor_string", "tolerance_string", "factor_empty", "revised_zero",
-            "tolerance_zero", "factor_nan", "row_not_object", "top_level_list"])
+            "tolerance_zero", "factor_nan", "factor_zero", "factor_negative",
+            "row_not_object", "top_level_list"])
     def test_malformed_fixture_rejected(self, capsys, tmp_path, edit):
         doc = load_json(TABLE_FIXTURE)
         cfg = write_json(tmp_path, "bad.cfg", edit(doc) or doc)

@@ -24,8 +24,10 @@ from spdc.overlap import (
 )
 from spdc.quadrature import ell_integral, panel_nodes
 from spdc.rates import (
+    _MAX_PHI_HALFWIDTH,
     PumpSpec,
     _atan,
+    _auto_phi_halfwidth,
     _dwm_panel_edges,
     _jsa_prefactor,
     _pump_rule,
@@ -53,6 +55,12 @@ HBAR, C = CONSTANTS.hbar, CONSTANTS.c
 def zero_chi(material):
     import dataclasses
     return dataclasses.replace(material, d_eff=0.0)
+
+
+@pytest.fixture
+def phi_window(monkeypatch):
+    """``phi_window(w)`` makes w the phi window half-width the oracles derive."""
+    return lambda w: monkeypatch.setattr("spdc.rates._auto_phi_halfwidth", lambda xi: w)
 
 
 class TestPumpSpec:
@@ -198,9 +206,7 @@ class TestBruteForce:
     ):
         beams = equal_focus_beams(ppktp_base_beams, 1.0)
         cf = pairs_closed_form(ppktp_material, beams)
-        bf = pairs_via_bruteforce(
-            ppktp_material, beams, narrowband_pump, phi_halfwidth=200.0
-        )
+        bf = pairs_via_bruteforce(ppktp_material, beams, narrowband_pump)
         rel = abs(bf.pairs_per_pump_photon - cf.pairs_per_pump_photon) / cf.pairs_per_pump_photon
         assert rel < 0.01
         assert bf.method == "brute_force"
@@ -209,9 +215,7 @@ class TestBruteForce:
 
     def test_zero_nonlinearity(self, ppktp_material, ppktp_base_beams, narrowband_pump):
         beams = equal_focus_beams(ppktp_base_beams, 1.0)
-        res = pairs_via_bruteforce(
-            zero_chi(ppktp_material), beams, narrowband_pump, phi_halfwidth=40.0
-        )
+        res = pairs_via_bruteforce(zero_chi(ppktp_material), beams, narrowband_pump)
         assert res.pairs_per_pump_photon == 0.0
 
     def test_bandwidth_halving_stable(
@@ -220,8 +224,8 @@ class TestBruteForce:
         beams = equal_focus_beams(ppktp_base_beams, 1.0)
         wide = PumpSpec(bandwidth=2e10)
         narrow = PumpSpec(bandwidth=1e10)
-        a = pairs_via_bruteforce(ppktp_material, beams, wide, phi_halfwidth=120.0)
-        b = pairs_via_bruteforce(ppktp_material, beams, narrow, phi_halfwidth=120.0)
+        a = pairs_via_bruteforce(ppktp_material, beams, wide)
+        b = pairs_via_bruteforce(ppktp_material, beams, narrow)
         assert abs(a.pairs_per_pump_photon - b.pairs_per_pump_photon) \
             <= 0.005 * a.pairs_per_pump_photon
 
@@ -292,8 +296,7 @@ class TestDegenerateNumeric:
         material, beams, pump = degenerate_setup(4e-3)
         import dataclasses
         res = pairs_degenerate_numeric(
-            dataclasses.replace(material, d_eff=0.0), beams, pump,
-            self.KAPPA0, phi_halfwidth=100.0,
+            dataclasses.replace(material, d_eff=0.0), beams, pump, self.KAPPA0,
         )
         assert res.pairs_per_pump_photon == 0.0
 
@@ -301,8 +304,7 @@ class TestDegenerateNumeric:
         material, beams, pump = degenerate_setup(4e-3)
         rates = []
         for kappa in np.geomspace(1e-26, 1e-24, 5):
-            res = pairs_degenerate_numeric(material, beams, pump, kappa,
-                                           phi_halfwidth=150.0)
+            res = pairs_degenerate_numeric(material, beams, pump, kappa)
             rates.append(res.pairs_per_pump_photon)
         assert all(a > b for a, b in zip(rates[:-1], rates[1:]))
 
@@ -311,8 +313,7 @@ class TestDegenerateNumeric:
         rates = []
         for Lz in lengths:
             material, beams, pump = degenerate_setup(Lz)
-            res = pairs_degenerate_numeric(material, beams, pump, self.KAPPA0,
-                                           phi_halfwidth=150.0)
+            res = pairs_degenerate_numeric(material, beams, pump, self.KAPPA0)
             rates.append(res.pairs_per_pump_photon)
         slope = np.polyfit(np.log(lengths), np.log(rates), 1)[0]
         assert abs(slope - 1.5) <= 0.15
@@ -322,14 +323,15 @@ class TestDegenerateNumeric:
         with pytest.raises(DomainError):
             pairs_degenerate_numeric(material, beams, pump, 0.0)
 
-    @pytest.mark.parametrize("phi_halfwidth", [None, 150.0])
-    def test_folded_dwm_axis_matches_the_full_table(self, phi_halfwidth):
+    @pytest.mark.parametrize("window", [None, 150.0])
+    def test_folded_dwm_axis_matches_the_full_table(self, phi_window, window):
         """phi = coeff_m dwm^2 is even in dwm, so summing the dwm >= 0 half
         of the symmetric panel layout with doubled weights gives the sum
         over the whole table."""
+        if window is not None:
+            phi_window(window)
         material, beams, pump = degenerate_setup(4e-3)
-        res = pairs_degenerate_numeric(material, beams, pump, self.KAPPA0,
-                                       phi_halfwidth=phi_halfwidth)
+        res = pairs_degenerate_numeric(material, beams, pump, self.KAPPA0)
         d = res.diagnostics
         fine = d["passes"]["fine"]
         coeff_p, _ = phase_mismatch_coefficients(
@@ -408,60 +410,70 @@ class TestOracleSweep:
         closed = pairs_closed_form(material, beams).pairs_per_pump_photon
         dev = abs(res.pairs_per_pump_photon / closed - 1.0)
         assert dev <= res.quadrature_error_estimate <= 2e-4
+        assert res.diagnostics["phi_halfwidth"] == _auto_phi_halfwidth(res.xi_agg)
 
     @pytest.mark.parametrize("xi", [0.1, 1.0, 8.0])
-    def test_degenerate_within_estimate(self, setup, xi):
+    def test_degenerate_within_estimate(self, setup, phi_window, xi):
         import dataclasses
         material, beams, pump = setup
         material = dataclasses.replace(material, ng_2=material.ng_1)
         beams = equal_focus_beams(beams, xi)
         res = pairs_degenerate_numeric(material, beams, pump, 1e-25)
-        ref = pairs_degenerate_numeric(material, beams, pump, 1e-25,
-                                       phi_halfwidth=2000.0)
+        phi_window(2000.0)
+        ref = pairs_degenerate_numeric(material, beams, pump, 1e-25)
         dev = abs(res.pairs_per_pump_photon / ref.pairs_per_pump_photon - 1.0)
         assert dev <= res.quadrature_error_estimate <= 2e-4
+
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["linear", "degenerate"])
+    @pytest.mark.parametrize("xi", [300.0, 1e4, 1e8])
+    def test_absurd_xi_refused_on_a_capped_window(self, setup, monkeypatch, xi, degenerate):
+        # the derived window grows like xi: the cap bounds the dwm grid, and
+        # the axial rule refuses the phases before any is integrated
+        import dataclasses
+        material, beams, pump = setup
+        beams = equal_focus_beams(beams, xi)
+        windows = []
+
+        def edges(coeff_m, power, phi_halfwidth):
+            windows.append(phi_halfwidth)
+            return _dwm_panel_edges(coeff_m, power, phi_halfwidth)
+
+        monkeypatch.setattr("spdc.rates._dwm_panel_edges", edges)
+        with pytest.raises(DomainError, match=r"\|phi\| = .*, xi = "):
+            if degenerate:
+                pairs_degenerate_numeric(dataclasses.replace(material, ng_2=material.ng_1),
+                                         beams, pump, 1e-25)
+            else:
+                pairs_via_bruteforce(material, beams, pump)
+        assert len(windows) == 1 and 0.0 < windows[0] <= _MAX_PHI_HALFWIDTH
 
 
 class TestPhiWindow:
     KAPPA0 = 1e-25
 
     @pytest.fixture(params=["linear", "degenerate"])
-    def oracle(self, request, ppktp_material, ppktp_base_beams, narrowband_pump):
-        """phi_halfwidth -> (result, phi at the outermost dwm panel edge)."""
+    def oracle(self, request, phi_window, ppktp_material, ppktp_base_beams,
+               narrowband_pump):
+        """phi window half-width -> (result, phi at the outermost dwm panel edge)."""
         if request.param == "linear":
             material, pump = ppktp_material, narrowband_pump
             beams = equal_focus_beams(ppktp_base_beams, 1.0)
             coeff_m = abs(material.ng_1 - material.ng_2) / (2 * C) * beams.crystal_length
 
-            def run(phi_halfwidth):
-                res = pairs_via_bruteforce(material, beams, pump,
-                                           phi_halfwidth=phi_halfwidth)
+            def run(window):
+                phi_window(window)
+                res = pairs_via_bruteforce(material, beams, pump)
                 return res, coeff_m * res.diagnostics["delta_omega_minus_halfwidth"]
         else:
             material, beams, pump = degenerate_setup(4e-3)
             quad_coeff = 0.25 * self.KAPPA0 * beams.crystal_length
 
-            def run(phi_halfwidth):
-                res = pairs_degenerate_numeric(material, beams, pump, self.KAPPA0,
-                                               phi_halfwidth=phi_halfwidth)
+            def run(window):
+                phi_window(window)
+                res = pairs_degenerate_numeric(material, beams, pump, self.KAPPA0)
                 w_minus = res.diagnostics["delta_omega_minus_halfwidth"]
                 return res, quad_coeff * w_minus ** 2
         return run
-
-    @pytest.mark.parametrize("phi_halfwidth", [0.0, -1.0, math.nan, math.inf, 1e9])
-    def test_window_outside_the_cap_raises_before_any_grid(
-        self, oracle, monkeypatch, phi_halfwidth
-    ):
-        import spdc.rates
-
-        def no_grid(*args):
-            raise AssertionError("dwm grid built for a refused window")
-
-        monkeypatch.setattr(spdc.rates, "_dwm_panel_edges", no_grid)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=r"phi_halfwidth .* not in \(0, 20000\]"):
-                oracle(phi_halfwidth)
 
     def test_window_edge_maps_to_phi_halfwidth(self, oracle):
         res, phi_edge = oracle(50.0)
@@ -562,13 +574,12 @@ class TestJsa:
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
     def test_grid_integral_reproduces_bruteforce(
-        self, ppktp_material, ppktp_base_beams, narrowband_pump
+        self, phi_window, ppktp_material, ppktp_base_beams, narrowband_pump
     ):
         beams = equal_focus_beams(ppktp_base_beams, 1.0)
         phi_hw = 40.0
-        bf = pairs_via_bruteforce(
-            ppktp_material, beams, narrowband_pump, phi_halfwidth=phi_hw
-        )
+        phi_window(phi_hw)
+        bf = pairs_via_bruteforce(ppktp_material, beams, narrowband_pump)
         sigma = narrowband_pump.bandwidth
         coeff_m = (ppktp_material.ng_1 - ppktp_material.ng_2) / (2 * C) \
             * beams.crystal_length
