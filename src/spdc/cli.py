@@ -52,22 +52,22 @@ def _fmt(value: float) -> str:
 def cmd_rate(
     config: ExperimentConfig,
     oracle: bool = False,
-    tol: float = None,
     degenerate: bool = False,
     kappa0: float = None,
 ) -> int:
     """Print the pair rate for one configuration."""
+    if degenerate and kappa0 is None:
+        raise ConfigError("--degenerate requires --kappa0 <s^2/m>")
+    if degenerate and oracle:
+        raise ConfigError("--oracle has no reference on the degenerate path")
+    if kappa0 is not None and not degenerate:
+        raise ConfigError("--kappa0 needs --degenerate")
     material = config.material_optics()
     beams = config.beam_triple()
-    quad_tol = config.quad_tol if tol is None else tol
 
     if degenerate:
-        if kappa0 is None:
-            raise ConfigError("--degenerate requires --kappa0 <s^2/m>")
         pump = config.pump_spec()
-        res = pairs_degenerate_numeric(
-            material, beams, pump, kappa0, CONSTANTS, quad_tol
-        )
+        res = pairs_degenerate_numeric(material, beams, pump, kappa0, CONSTANTS)
         print(f"method: degenerate numeric (kappa0 = {_fmt(kappa0)} s^2/m)")
         print(f"pairs per pump photon:  {_fmt(res.pairs_per_pump_photon)}")
         print(f"pairs per s per mW:     {_fmt(res.pairs_per_s_per_mW)}")
@@ -81,7 +81,7 @@ def cmd_rate(
     print(f"xi_agg = {_fmt(res.xi_agg)}  A+B+ = {_fmt(res.a_plus_b_plus)}")
     if oracle:
         pump = config.pump_spec()
-        ref = pairs_via_bruteforce(material, beams, pump, CONSTANTS, quad_tol)
+        ref = pairs_via_bruteforce(material, beams, pump, CONSTANTS)
         dev = (ref.pairs_per_s_per_mW - res.pairs_per_s_per_mW) / res.pairs_per_s_per_mW \
             if res.pairs_per_s_per_mW != 0.0 else 0.0
         print(f"oracle pairs per s per mW (brute force): {_fmt(ref.pairs_per_s_per_mW)}")
@@ -232,15 +232,18 @@ def cmd_table(rows: list) -> int:
 
 
 def cmd_optimize(config: ExperimentConfig, xi_range: tuple = None) -> int:
-    """Search the equal-focusing family for the rate maximum."""
-    lo, hi = config.xi_range if xi_range is None else xi_range
-    if not (0.0 < lo < hi < math.inf):
+    """Search the equal-focusing family for the rate maximum.
+
+    The bracket is ``xi_range`` (``--xi-range``), else ``focus_optimize``'s.
+    """
+    bracket = () if xi_range is None else (xi_range,)
+    if bracket and not (0.0 < xi_range[0] < xi_range[1] < math.inf):
         raise ConfigError(
-            f"optimize range must satisfy 0 < lo < hi < inf, got {lo}:{hi}"
+            "optimize range must satisfy 0 < lo < hi < inf, got {}:{}".format(*xi_range)
         )
     material = config.material_optics()
     base = config.beam_triple()
-    xi_opt, rate_max = focus_optimize(material, base, CONSTANTS, (lo, hi))
+    xi_opt, rate_max = focus_optimize(material, base, CONSTANTS, *bracket)
     best = equal_focus_beams(base, xi_opt)
     print(f"xi_opt:            {_fmt(xi_opt)}")
     print(f"pairs per s per mW: {_fmt(rate_max)}")
@@ -259,17 +262,6 @@ def _parse_range(text: str, flag: str) -> tuple:
     except ValueError:
         raise ConfigError(f"{flag}: expected numbers, got {text!r}") from None
     return lo, hi
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of ``--tol``: a positive finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (0.0 < value < math.inf):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -307,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--config", required=True)
     p_rate.add_argument("--oracle", action="store_true",
                         help="also run the brute-force oracle and report the deviation")
-    p_rate.add_argument("--tol", type=_tolerance, default=None,
-                        help="quadrature tolerance for the oracle")
     p_rate.add_argument("--degenerate", action="store_true",
                         help="use the quadratic phase-matching numeric path")
     p_rate.add_argument("--kappa0", type=float, default=None,
@@ -341,7 +331,6 @@ def _dispatch(argv: list) -> int:
         return cmd_rate(
             config,
             oracle=args.oracle,
-            tol=args.tol,
             degenerate=args.degenerate,
             kappa0=args.kappa0,
         )

@@ -1,8 +1,9 @@
 """Experiment configuration files: schema, validation, object construction.
 
-Configs are JSON with four blocks (``material``, ``beams``, ``pump``,
-``run``) and SI base units only; no unit suffixes are accepted, so a
-wavelength is always meters and a bandwidth always rad/s. The material block
+Configs are JSON with three blocks (``material``, ``beams``, ``pump``),
+an optional ``run`` object that no rate path reads, and SI base units only;
+no unit suffixes are accepted, so a wavelength is always meters and a
+bandwidth always rad/s. The material block
 carries either literal indices or references to dispersion files
 ("builtin:<name>" or a path resolved relative to the config file).
 """
@@ -67,9 +68,8 @@ class ExperimentConfig:
     ``indices`` holds (n_p, n_1, n_2, ng_p, ng_1, ng_2) either given
     literally or evaluated from dispersion files at the band centers. The
     phase indices and the crystal length go to ``beam_triple``, the group
-    indices to ``material_optics``. ``quad_tol`` (the oracles' tolerance)
-    and ``xi_range`` (the ``optimize`` bracket) come from the ``run``
-    block, which ``run`` keeps as given.
+    indices to ``material_optics``. ``run`` keeps the optional ``run``
+    block as given; no rate path reads it.
     """
 
     lambda_p: float
@@ -83,8 +83,6 @@ class ExperimentConfig:
     indices: tuple
     pump_bandwidth: float
     poling_period: Optional[float] = None
-    quad_tol: float = 1e-4
-    xi_range: tuple = (0.01, 10.0)
     run: dict = field(default_factory=dict)
 
     def material_optics(self) -> MaterialOptics:
@@ -166,17 +164,6 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     run = raw.get("run", {})
     if not isinstance(run, dict):
         raise ConfigError("run: must be an object")
-    quad_tol = _positive(
-        _number(run.get("quad_tol", ExperimentConfig.quad_tol), "run.quad_tol"),
-        "run.quad_tol",
-    )
-    optimize = run.get("optimize", {})
-    if not isinstance(optimize, dict):
-        raise ConfigError("run.optimize: must be an object")
-    xi_range = tuple(
-        _number(optimize.get(key, default), f"run.optimize.{key}")
-        for key, default in zip(("xi_min", "xi_max"), ExperimentConfig.xi_range)
-    )
 
     lam_p = _positive(_get(beams, "lambda_p_m", "beams"), "beams.lambda_p_m")
     lam_1 = _positive(_get(beams, "lambda_1_m", "beams"), "beams.lambda_1_m")
@@ -224,8 +211,6 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         indices=indices,
         pump_bandwidth=bandwidth,
         poling_period=poling,
-        quad_tol=quad_tol,
-        xi_range=xi_range,
         run=dict(run),
     )
 

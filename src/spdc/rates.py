@@ -41,7 +41,8 @@ from .quadrature import ell_integral, panel_nodes
 _MILLIWATT = 1e-3
 # relative ng_1 == ng_2 threshold below which the linear model is refused
 _DEGENERATE_NG_RTOL = 1e-9
-# relative error the phi window is sized for, per error term
+# the oracle's one relative error target: the phi window is sized for it, per
+# error term, and the refinement estimate must come in under it
 _WINDOW_TARGET = 1e-4
 # k in the window's pole-lobe reach k xi ln(1 / target), where the
 # lobe exp(-|phi| / xi) is target^k and its cross term with the 1/phi tail
@@ -326,7 +327,6 @@ def _bruteforce_rate(
     beams: BeamTriple,
     pump: PumpSpec,
     constants: PhysicalConstants,
-    quad_tol: float,
     gvd_kappa0: Optional[float] = None,
 ) -> RateResult:
     """Integrate |psi|^2 of the joint spectral amplitude over both detunings.
@@ -334,21 +334,20 @@ def _bruteforce_rate(
     The phase mismatch is phi = coeff_p dwp + coeff_m dwm^power in the sum
     (dwp) and difference (dwm) detunings, with power 1 and the coefficients
     of ``phase_mismatch_coefficients`` (linear phase matching), or with
-    ``gvd_kappa0`` power 2 and coeff_m = kappa0 Lz / 4 (degenerate). The
-    phi window is always ``_auto_phi_halfwidth(xi)``. The pump axis is a
+    ``gvd_kappa0`` power 2 and coeff_m = kappa0 Lz / 4 (degenerate). The phi
+    window is always ``_auto_phi_halfwidth(xi)``. The pump axis is a
     Gauss-Hermite rule for the Gaussian pump density and the dwm axis
     Gauss-Legendre panels over the window; a pass with half the pump nodes
-    and half as many dwm panels gives the refinement estimate. The analytic
-    1/phi^2 tail beyond the window is added to the window integral, and the
-    error estimate adds the refinement difference, the next-order tail term
-    and the pole lobe beyond the window. Each pass gets its whole table of
-    axial integrals from one ``ell_integral`` call with the pump rows as
-    ``offsets``, so the complex exponentials number (pump rows + dwm
+    and half as many dwm panels gives the refinement estimate, which must
+    come in under ``_WINDOW_TARGET`` or ``QuadratureError`` is raised. The
+    analytic 1/phi^2 tail beyond the window is added to the window integral,
+    and the error estimate adds the refinement difference, the next-order
+    tail term and the pole lobe beyond the window. Each pass gets its whole
+    table of axial integrals from one ``ell_integral`` call with the pump
+    rows as ``offsets``, so the complex exponentials number (pump rows + dwm
     columns) per node x >= 0 of the folded rule, half the rule's nodes, and
     the real table is one matrix product.
     """
-    if not (quad_tol > 0.0):
-        raise DomainError(f"quad_tol must be positive, got {quad_tol}")
     params = _positive_params(beams)
     xi, C = params.xi_agg, params.C_quad
     phi_halfwidth = _auto_phi_halfwidth(xi)
@@ -416,10 +415,10 @@ def _bruteforce_rate(
     # terms one order further out
     next_order = (2 * power - 1) * (1.0 + 4.0 / phi_edge) * tail_abs / (phi_edge * total)
     lobe = lobe_abs / total
-    if not (refinement <= quad_tol):
+    if not (refinement <= _WINDOW_TARGET):
         raise QuadratureError(
             f"brute-force quadrature refinement estimate {refinement:.3e} "
-            f"exceeds tolerance {quad_tol:.3e}",
+            f"exceeds tolerance {_WINDOW_TARGET:.3e}",
             estimate=refinement,
         )
 
@@ -457,7 +456,6 @@ def pairs_via_bruteforce(
     beams: BeamTriple,
     pump: PumpSpec,
     constants: PhysicalConstants = CONSTANTS,
-    quad_tol: float = 1e-4,
 ) -> RateResult:
     """Pair probability by 2-D quadrature of the frequency-space integral.
 
@@ -469,10 +467,10 @@ def pairs_via_bruteforce(
     analytically beyond the phi window; the window, derived from xi, keeps
     what that leaves out (the next-order tail term and the pole lobe at
     large xi) near 1e-4 of the rate. The quadrature refinement estimate
-    must come in under ``quad_tol``.
+    must come in under the same 1e-4, or ``QuadratureError`` is raised.
     """
     _require_nondegenerate(material)
-    return _bruteforce_rate(material, beams, pump, constants, quad_tol)
+    return _bruteforce_rate(material, beams, pump, constants)
 
 
 def pairs_degenerate_numeric(
@@ -481,7 +479,6 @@ def pairs_degenerate_numeric(
     pump: PumpSpec,
     gvd_kappa0: float,
     constants: PhysicalConstants = CONSTANTS,
-    quad_tol: float = 1e-4,
 ) -> RateResult:
     """Pair probability for quadratic (degenerate type-0/I) phase matching.
 
@@ -490,14 +487,15 @@ def pairs_degenerate_numeric(
     phi = a dwp + (kappa0 / 4) dwm^2 Lz; no closed form is claimed for this
     case. ``gvd_kappa0`` is the group-velocity-dispersion coefficient at the
     degenerate point (s^2/m). The phi window is the linear-model one,
-    which is conservative here because the tail decays faster in dwm.
+    which is conservative here because the tail decays faster in dwm, and
+    the refinement estimate must come in under the same 1e-4.
     """
     if not (math.isfinite(gvd_kappa0) and gvd_kappa0 != 0.0):
         raise DomainError(
             f"gvd_kappa0 must be finite and nonzero for the degenerate path, "
             f"got {gvd_kappa0}"
         )
-    return _bruteforce_rate(material, beams, pump, constants, quad_tol, gvd_kappa0)
+    return _bruteforce_rate(material, beams, pump, constants, gvd_kappa0)
 
 
 def overlap_value(
