@@ -310,12 +310,21 @@ def _dwm_panel_edges(coeff_m: float, power: int, phi_halfwidth: float):
     2 pi of phase and the outermost edge maps to exactly ``phi_halfwidth``.
     That is one period of the fastest oscillation of |ell_integral|^2,
     whose spectrum in phi lies within [-1, 1]; eight Gauss-Legendre nodes
-    resolve it. The coarse layout drops every other edge and keeps the
-    last one.
+    resolve it. The coarse layout has ceil(m / 2) panels per side: for
+    power 1 laid out the same way, so both layouts are equal panels in
+    dwm; for power 2 every other edge, plus the last one when m is odd.
+    For even m the two rules give the same edges.
     """
     m = max(2, int(math.ceil(phi_halfwidth / (2.0 * math.pi))))
-    pos = (phi_halfwidth * (np.arange(m + 1) / m) / abs(coeff_m)) ** (1.0 / power)
-    pos_coarse = pos[::2] if m % 2 == 0 else np.append(pos[::2], pos[-1])
+
+    def positions(count):
+        return (phi_halfwidth * (np.arange(count + 1) / count) / abs(coeff_m)) ** (1.0 / power)
+
+    pos = positions(m)
+    if power == 1:
+        pos_coarse = positions(-(-m // 2))
+    else:
+        pos_coarse = pos[::2] if m % 2 == 0 else np.append(pos[::2], pos[-1])
     return (
         np.concatenate((-pos[::-1], pos[1:])),
         np.concatenate((-pos_coarse[::-1], pos_coarse[1:])),
@@ -338,15 +347,20 @@ def _bruteforce_rate(
     window is always ``_auto_phi_halfwidth(xi)``. The pump axis is a
     Gauss-Hermite rule for the Gaussian pump density and the dwm axis
     Gauss-Legendre panels over the window; a pass with half the pump nodes
-    and half as many dwm panels gives the refinement estimate, which must
-    come in under ``_WINDOW_TARGET`` or ``QuadratureError`` is raised. The
-    analytic 1/phi^2 tail beyond the window is added to the window integral,
-    and the error estimate adds the refinement difference, the next-order
-    tail term and the pole lobe beyond the window. Each pass gets its whole
-    table of axial integrals from one ``ell_integral`` call with the pump
-    rows as ``offsets``, so the complex exponentials number (pump rows + dwm
-    columns) per node x >= 0 of the folded rule, half the rule's nodes, and
-    the real table is one matrix product.
+    and ceil(m / 2) of the m dwm panels per side gives the refinement
+    estimate, which must come in under ``_WINDOW_TARGET`` or
+    ``QuadratureError`` is raised. The analytic 1/phi^2 tail beyond the
+    window is added to the window integral, and the error estimate adds the
+    refinement difference, the next-order tail term and the pole lobe
+    beyond the window. Each pass gets its whole table of axial integrals
+    from one ``ell_integral`` call with the pump rows a_j as ``offsets``.
+    The degenerate dwm columns go in as phases: (J + M) exponentials per
+    node x >= 0 of the folded rule for J rows and M columns. The linear
+    panels are equal, so the linear nodes are the P panel centres plus
+    hw t_i (the 8 in-panel nodes, hw the half-width) and their weights
+    hw w_i: the call takes ``offsets=(a, coeff_m centres)`` and the phases
+    coeff_m hw t_i, and costs (J + P + 8) exponentials per node instead of
+    (J + 8 P). In both, the real table is one matrix product.
     """
     params = _positive_params(beams)
     xi, C = params.xi_agg, params.C_quad
@@ -365,20 +379,27 @@ def _bruteforce_rate(
 
     def window_integral(name, pump_order, dwm_edges):
         x, x_w = _pump_rule(pump_order)
+        rows = coeff_p * sigma * x
         if power == 2:
             # phi = coeff_m dwm^2 is even in dwm and the edges are symmetric
             # about 0: integrate over dwm >= 0 and double. The linear phi is
             # not even, so power 1 keeps both sides.
             dwm, dwm_w = panel_nodes(dwm_edges[len(dwm_edges) // 2:], 8)
             dwm_w *= 2.0
+            axial = ell_integral(coeff_m * dwm ** 2, xi, C, offsets=rows)
         else:
-            dwm, dwm_w = panel_nodes(dwm_edges, 8)
-        axial = ell_integral(
-            coeff_m * dwm ** power, xi, C, offsets=coeff_p * sigma * x,
-        )
+            # equal panels: phi = coeff_m (mid_p + hw t_i), the panel centre
+            # plus the in-panel node, one table column per (centre, node)
+            panels = len(dwm_edges) - 1
+            mids = 0.5 * (dwm_edges[:-1] + dwm_edges[1:])
+            half = dwm_edges[-1] / panels
+            t, t_w = panel_nodes(np.array([-half, half]), 8)
+            axial = ell_integral(coeff_m * t, xi, C, offsets=(rows, coeff_m * mids))
+            axial = axial.reshape(len(x), -1)
+            dwm_w = np.tile(t_w, panels)
         passes[name] = {
             "pump_rule_order": pump_order,
-            "dwm_nodes": dwm.size,
+            "dwm_nodes": dwm_w.size,
             "phi_grid": axial.shape,
         }
         return float(x_w @ ((axial * axial) @ dwm_w))

@@ -86,6 +86,60 @@ class TestOffsets:
             )
 
 
+class TestPairOffsets:
+    """``offsets=(a, c)``: rows a_j, centres c_p and phases phi_i, as the linear
+    oracle passes pump rows, dwm panel centres and in-panel nodes."""
+
+    ROWS = np.array([-7.0, -0.4, 0.0, 2.5, 9.0])
+    CENTRES = np.linspace(-1200.0, 1200.0, 41)
+    PHASES = 30.0 * np.polynomial.legendre.leggauss(8)[0]
+
+    @pytest.mark.parametrize("xi", [0.01, 1.0, 12.0])
+    @pytest.mark.parametrize("C", [0.0, 5e-3, -5e-3])
+    def test_equals_the_explicit_grid(self, xi, C):
+        a, c, phi = self.ROWS, self.CENTRES, self.PHASES
+        got = ell_integral(phi, xi, C, offsets=(a, c))
+        want = ell_integral(a[:, None, None] + c[None, :, None] + phi, xi, C)
+        assert got.shape == (a.size, c.size, phi.size)
+        assert np.max(np.abs(got - want)) <= 1e-13 * abs(ell_integral(0.0, xi, C))
+
+    def test_one_zero_centre_is_the_row_call(self):
+        # the centre factor exp(0) is exactly 1: bit for bit
+        got = ell_integral(self.PHASES, 1.0, 1e-3, offsets=(self.ROWS, [0.0]))
+        want = ell_integral(self.PHASES, 1.0, 1e-3, offsets=self.ROWS)
+        assert got[:, 0].tobytes() == want.tobytes()
+
+    def test_blocks_cover_every_column(self):
+        # over ~2,600 columns (the block at |phi| ~ 930) whichever way: many
+        # centres of few phases, then few centres of many phases
+        a = np.array([-0.5, 1.5])
+        for c, phi in ((np.linspace(-900.0, 900.0, 401), self.PHASES),
+                       (np.array([-5.0, 7.0]), np.linspace(-900.0, 900.0, 3001))):
+            got = ell_integral(phi, 2.0, 0.0, offsets=(a, c))
+            want = ell_integral(a[:, None, None] + c[None, :, None] + phi, 2.0, 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-13 * abs(ell_integral(0.0, 2.0, 0.0))
+
+    @pytest.mark.parametrize("a, c, phi, shape", [
+        ([], [1.0], np.zeros(3), (0, 1, 3)),
+        ([1.0], [], np.zeros(3), (1, 0, 3)),
+        ([1.0, 2.0], [3.0], np.zeros(0), (2, 1, 0)),
+        ([], [], np.zeros(0), (0, 0, 0)),
+        ([1.0], [2.0, 3.0], np.zeros((2, 3)), (1, 2, 2, 3)),
+        ([1.0], [2.0, 3.0], 4.0, (1, 2)),
+    ])
+    def test_shapes(self, a, c, phi, shape):
+        got = ell_integral(phi, 1.0, offsets=(a, c))
+        assert got.shape == shape and got.dtype == np.float64
+
+    @pytest.mark.parametrize("centres", [
+        [math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0], [6000.0, 0.0], [0.0, -5300.0],
+    ])
+    def test_bad_centre_raises_before_any_arithmetic(self, monkeypatch, centres):
+        # the rule-size peak includes the centres: a rule is never built
+        monkeypatch.setattr(quadrature, "_ell_weights", None)
+        TestNonFinitePhase.raises(np.array([0.0, 10.0]), offsets=([0.0, 1.0], centres))
+
+
 class TestWeightsCache:
     """The cached weights row changes no bit of ``ell_integral``."""
 

@@ -1,6 +1,7 @@
 """Closed-form rate, brute-force oracle, correction factors, optimizer."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -411,6 +412,28 @@ class TestOracleSweep:
         dev = abs(res.pairs_per_pump_photon / closed - 1.0)
         assert dev <= res.quadrature_error_estimate <= 2e-4
         assert res.diagnostics["phi_halfwidth"] == _auto_phi_halfwidth(res.xi_agg)
+        # the coarse pass, equal dwm panels at either parity of m, stays an
+        # honest refinement: over this range it reads ~6e-9 at most
+        assert res.diagnostics["refinement_estimate"] <= 1e-7
+
+    def test_memory_stays_bounded(self, setup):
+        # a broadband pump (phase spread 8 rad: 136 pump rows) at xi = 30:
+        # the axial table is built in blocks of columns, so the peak stays
+        # near the 136 x 1056 table and one block, not rows x centres
+        material, beams, _ = setup
+        beams = equal_focus_beams(beams, 30.0)
+        coeff_p, _ = phase_mismatch_coefficients(material.ng_p, material.ng_1,
+                                                 material.ng_2, beams.crystal_length, C)
+        pump = PumpSpec(bandwidth=8.0 / abs(coeff_p))
+        pairs_via_bruteforce(material, beams, pump)  # build the rules outside the trace
+        tracemalloc.start()
+        try:
+            res = pairs_via_bruteforce(material, beams, pump)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics["passes"]["fine"]["pump_rule_order"] == 136
+        assert peak <= 20e6
 
     @pytest.mark.parametrize("xi", [0.1, 1.0, 8.0])
     def test_degenerate_within_estimate(self, setup, phi_window, xi):
