@@ -10,10 +10,7 @@ rule per call, sized by the call's largest |phi|, with its folded nodes
 and weights cached by rule, xi and C. Its integrand is conjugate at l and
 -l, so the axial integral is real and is returned as a float: the rule is
 folded onto its nodes x >= 0, and J offsets by M phases on an n-node rule
-cost (J + M) h complex exponentials, h = ceil(n / 2), and one real matrix
-product. With P column centres as well, the columns are built as centre
-factor times phase factor: (J + P + M) h exponentials and P M h complex
-products, against (J + P M) h exponentials for the same table as phases.
+cost (J + M) ceil(n / 2) complex exponentials and one real matrix product.
 No layout may hold more than ``MAX_PANELS`` panels; one that would raises
 before its nodes are built. ``complex_quad`` walks a long layout in blocks
 of ``_BLOCK_PANELS`` panels, so its arrays stay small whatever the layout.
@@ -158,21 +155,9 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
     Im r_j sin(b_k x / 2). So the call costs (J + M) h complex
     exponentials, exp(+i b_k x / 2) read as (cos, sin) pairs, and one real
     (J x 2h) @ (2h x M) product, instead of J M n exponentials. The plain
-    call is the ``offsets = [0]`` case.
-
-    With ``offsets`` a tuple ``(a, c)`` of two 1-D sequences, rows a_j and
-    column centres c_p, returns I(a[j] + c[p] + phi[k]) with shape
-    ``(len(a), len(c)) + phi.shape``. The columns factor once more:
-    exp(i (c_p + b_k) x / 2) = exp(i c_p x / 2) exp(i b_k x / 2), so the
-    call costs (J + P + M) h complex exponentials, P M h complex products
-    and one real (J x 2h) @ (2h x P M) product, instead of the (J + P M) h
-    exponentials of the same table passed as P M phases. The columns are
-    built in blocks of whole centres (or of phases of one centre), so
-    memory stays bounded. A 1-D ``offsets`` is the ``c = [0]`` case, whose
-    factor, exactly 1, is not formed; ``(a, [0])`` forms it and gives the
-    same bits. The nodes and weights row of each (rule, xi, C) are cached,
-    and one float phase skips the array bookkeeping; neither changes a bit
-    of the result.
+    call is the ``offsets = [0]`` case. The nodes and weights row of each
+    (rule, xi, C) are cached, and one float phase skips the array
+    bookkeeping; neither changes a bit of the result.
     """
     if offsets is None and isinstance(phi, (int, float)):
         # one phase: the general path's arithmetic without its array bookkeeping
@@ -180,40 +165,23 @@ def ell_integral(phi, xi: float, C: float = 0.0, *, offsets=None):
         x, g = _ell_weights(_ell_rule_size(abs(phi), abs(xi)), xi, C)
         return float(g @ np.exp(0.5j * (x * phi)).view(float))
     phi_arr = np.asarray(phi, dtype=float)
-    a, centres = offsets if isinstance(offsets, tuple) else (offsets, None)
-    a = np.asarray([0.0] if a is None else a, dtype=float).ravel()
-    c = np.asarray([0.0] if centres is None else centres, dtype=float).ravel()
+    a = np.asarray([0.0] if offsets is None else offsets, dtype=float).ravel()
     b = phi_arr.ravel()
-    shape = ((() if offsets is None else a.shape) + (() if centres is None else c.shape)
-             + phi_arr.shape)
-    # a_j + c_p + b_k spans [min a + min c + min b, max a + max c + max b]; in
-    # Python floats inf + -inf is a quiet NaN, so a NaN or infinite entry of
-    # any of them gives a peak the rule size refuses
-    hi = lo = 0.0
-    if a.size and c.size and b.size:
-        for v in (a, b) if centres is None else (a, c, b):
-            hi, lo = hi + float(v.max()), lo + float(v.min())
-    peak = max(abs(hi), abs(lo))
+    shape = (() if offsets is None else a.shape) + phi_arr.shape
+    # a_j + b_k spans [min a + min b, max a + max b]; in Python floats inf + -inf is a
+    # quiet NaN, so a NaN or infinite a_j or b_k gives a peak the rule size refuses
+    peak = (max(abs(float(a.max()) + float(b.max())), abs(float(a.min()) + float(b.min())))
+            if a.size and b.size else 0.0)
     n = _ell_rule_size(peak, abs(xi))
     x, g = _ell_weights(n, xi, C)
-    # (Re r_j, Im r_j) interleaved per node, against (cos, sin) of (c_p + b_k) x / 2
-    rows = (np.exp(-0.5j * (a[:, None] * x)) * g.view(complex)).view(float)
-    # columns centre-major, (c_p, b_k) at p M + k; each product takes a run of
-    # whole rows of centres, or a run of phases of one centre, so its columns
-    # are contiguous and their number bounds memory
-    out = np.empty((a.size, c.size * b.size))
-    block = max(1, int(2.0e6 / (n + a.size)))
-    b_step = max(1, min(b.size, block))
-    c_step = max(1, block // b_step)
-    for k in range(0, b.size, b_step):
-        phases = np.exp(0.5j * (b[k:k + b_step, None] * x))
-        for p in range(0, c.size, c_step):
-            # without centres the one factor would be exactly 1
-            cols = phases if centres is None else (
-                np.exp(0.5j * (c[p:p + c_step, None] * x))[:, None] * phases)
-            cols = cols.view(float).reshape(-1, rows.shape[1])
-            first = p * b.size + k
-            out[:, first:first + len(cols)] = rows @ cols.T
+    # (Re r_j, Im r_j) interleaved per node, against (cos, sin) of b_k x / 2
+    rows = (np.exp(-0.5j * np.outer(a, x)) * g.view(complex)).view(float)
+    out = np.empty((len(rows), b.size))
+    # chunk the (nodes x columns) factor and the result block to bound memory
+    block = max(1, int(2.0e6 / (n + len(rows))))
+    for start in range(0, b.size, block):
+        cols = slice(start, start + block)
+        out[:, cols] = rows @ np.exp(0.5j * np.outer(b[cols], x)).view(float).T
     return out.reshape(shape) if shape else float(out[0, 0])
 
 

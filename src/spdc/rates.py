@@ -9,10 +9,14 @@ The closed-form rate per pump photon,
 
 holds for linear phase matching (nondegenerate or type-II) with the
 quadratic denominator coefficient C ~ 0. ``pairs_via_bruteforce`` evaluates
-the underlying frequency-space probability integral by honest 2-D
-quadrature, with no delta-function shortcut, and serves as the oracle for
-the closed form; ``pairs_degenerate_numeric`` runs the same quadrature for
-quadratic phase matching. All paths freeze the slowly varying spectral
+the underlying frequency-space probability integral by quadrature, with no
+delta-function shortcut, and serves as the oracle for the closed form.
+In the linear phase model each pump detuning only shifts the phase
+mismatch, so the pump axis integrates out exactly and the oracle is one
+quadrature over the difference detuning; the pump spectrum is not read.
+``pairs_degenerate_numeric`` runs the same quadrature for quadratic phase
+matching, where the pump axis does not integrate out and stays a
+Gauss-Hermite rule. All paths freeze the slowly varying spectral
 prefactors at the band centers so they test the same model.
 
 Rates are reported per pump photon and per second per milliwatt of pump
@@ -36,7 +40,7 @@ from .overlap import (
     overlap_prefactor,
     phase_mismatch_coefficients,
 )
-from .quadrature import ell_integral, panel_nodes
+from .quadrature import ell_integral, gauss_legendre, panel_nodes
 
 _MILLIWATT = 1e-3
 # relative ng_1 == ng_2 threshold below which the linear model is refused
@@ -52,7 +56,9 @@ _LOBE_WINDOW_FACTOR = 1.5
 # dwm grid at absurd xi (from ~1,450), whose phases ell_integral then refuses
 _MAX_PHI_HALFWIDTH = 2.0e4
 # Gauss-Hermite pump-axis order on the fine pass (the coarse pass takes half)
-# and the most the phase spread of a broadband pump may raise it to
+# and the most the phase spread of a broadband pump may raise it to. They, and
+# _pump_rule_order, serve only the degenerate path: the linear oracle
+# integrates the pump axis out
 _PUMP_ORDER = 8
 _MAX_PUMP_ORDER = 256
 
@@ -98,9 +104,11 @@ class RateResult:
     plus the next-order tail term plus the pole lobe beyond the window, all
     left after the analytic 1/phi^2 tail has been added to the window
     integral. For the brute-force path ``diagnostics`` holds the method,
-    the phi window and its dwm edge, each pass's Gauss-Hermite pump order,
-    dwm node count and (rows, columns) phi grid under ``passes``, the raw
-    ``window_integral`` and the ``tail_correction`` (pairs per pump
+    the phi window and its dwm edge, each pass's dwm node count and
+    (rows, columns) phi grid under ``passes`` (in-panel nodes by panels on
+    the linear path, whose pump axis integrates out; pump rows by dwm
+    nodes, with the Gauss-Hermite pump order, on the degenerate path), the
+    raw ``window_integral`` and the ``tail_correction`` (pairs per pump
     photon, summing to the result) and the three estimate terms;
     informational only.
     """
@@ -291,7 +299,8 @@ def _pump_rule_order(phase_spread: float) -> int:
     The row integrals oscillate like exp(i coeff_p sigma x) in the unit
     pump variable x, and an n-node rule integrates exp(i kappa x) against
     the Gaussian to ~ n! kappa^(2n) / (2n)!, so the order grows like
-    kappa^2. It is even, so the coarse pass takes exactly half.
+    kappa^2. It is even, so the coarse pass takes exactly half. Only the
+    degenerate path has a pump rule, so only it is refused past the cap.
     """
     growth = phase_spread * phase_spread
     if not (growth <= 0.5 * (_MAX_PUMP_ORDER - _PUMP_ORDER)):
@@ -344,23 +353,25 @@ def _bruteforce_rate(
     (dwp) and difference (dwm) detunings, with power 1 and the coefficients
     of ``phase_mismatch_coefficients`` (linear phase matching), or with
     ``gvd_kappa0`` power 2 and coeff_m = kappa0 Lz / 4 (degenerate). The phi
-    window is always ``_auto_phi_halfwidth(xi)``. The pump axis is a
-    Gauss-Hermite rule for the Gaussian pump density and the dwm axis
-    Gauss-Legendre panels over the window; a pass with half the pump nodes
-    and ceil(m / 2) of the m dwm panels per side gives the refinement
-    estimate, which must come in under ``_WINDOW_TARGET`` or
-    ``QuadratureError`` is raised. The analytic 1/phi^2 tail beyond the
-    window is added to the window integral, and the error estimate adds the
-    refinement difference, the next-order tail term and the pole lobe
-    beyond the window. Each pass gets its whole table of axial integrals
-    from one ``ell_integral`` call with the pump rows a_j as ``offsets``.
-    The degenerate dwm columns go in as phases: (J + M) exponentials per
-    node x >= 0 of the folded rule for J rows and M columns. The linear
-    panels are equal, so the linear nodes are the P panel centres plus
-    hw t_i (the 8 in-panel nodes, hw the half-width) and their weights
-    hw w_i: the call takes ``offsets=(a, coeff_m centres)`` and the phases
-    coeff_m hw t_i, and costs (J + P + 8) exponentials per node instead of
-    (J + 8 P). In both, the real table is one matrix product.
+    window is always ``_auto_phi_halfwidth(xi)`` and the dwm axis is
+    Gauss-Legendre panels over it; a pass with ceil(m / 2) of the m dwm
+    panels per side gives the refinement estimate, which must come in under
+    ``_WINDOW_TARGET`` or ``QuadratureError`` is raised. The analytic
+    1/phi^2 tail beyond the window is added to the window integral, and the
+    error estimate adds the refinement difference, the next-order tail term
+    and the pole lobe beyond the window.
+
+    Linear: each pump row only shifts phi and the pump density integrates
+    to one, so over the dwm line the pump axis integrates out and ``pump``
+    is not read. The panels are equal, so a node is its panel centre mid_p
+    plus hw t_i (t_i the 8 Gauss-Legendre nodes, hw the half-width). One
+    ``ell_integral`` call serves both passes: the 16 in-panel phases
+    coeff_m hw t_i as ``offsets``, the P_f + P_c centre phases coeff_m mid_p
+    as columns, (16 + P_f + P_c) exponentials per node of the folded rule;
+    each pass sums its own block with weights hw w_i. Degenerate: phi is
+    not shift-invariant, so the pump axis is a Gauss-Hermite rule, of half
+    the order on the coarse pass, and each pass is one call with the pump
+    rows as ``offsets`` and the dwm phases as columns.
     """
     params = _positive_params(beams)
     xi, C = params.xi_agg, params.C_quad
@@ -368,53 +379,46 @@ def _bruteforce_rate(
     Lz = beams.crystal_length
     coeff_p, coeff_m = phase_mismatch_coefficients(material.ng_p, material.ng_1,
                                                    material.ng_2, Lz, constants.c)
-    power, diag = 1, {}
+    power, method, diag = 1, "pump axis integrated out (linear)", {}
     if gvd_kappa0 is not None:
-        power, coeff_m, diag = 2, 0.25 * gvd_kappa0 * Lz, {"gvd_kappa0": gvd_kappa0}
-
-    sigma = pump.bandwidth
-    order = _pump_rule_order(abs(coeff_p) * sigma)
-    dwm_fine, dwm_coarse = _dwm_panel_edges(coeff_m, power, phi_halfwidth)
-    passes = {}
-
-    def window_integral(name, pump_order, dwm_edges):
-        x, x_w = _pump_rule(pump_order)
-        rows = coeff_p * sigma * x
-        if power == 2:
-            # phi = coeff_m dwm^2 is even in dwm and the edges are symmetric
-            # about 0: integrate over dwm >= 0 and double. The linear phi is
-            # not even, so power 1 keeps both sides.
-            dwm, dwm_w = panel_nodes(dwm_edges[len(dwm_edges) // 2:], 8)
-            dwm_w *= 2.0
-            axial = ell_integral(coeff_m * dwm ** 2, xi, C, offsets=rows)
-        else:
-            # equal panels: phi = coeff_m (mid_p + hw t_i), the panel centre
-            # plus the in-panel node, one table column per (centre, node)
-            panels = len(dwm_edges) - 1
-            mids = 0.5 * (dwm_edges[:-1] + dwm_edges[1:])
-            half = dwm_edges[-1] / panels
-            t, t_w = panel_nodes(np.array([-half, half]), 8)
-            axial = ell_integral(coeff_m * t, xi, C, offsets=(rows, coeff_m * mids))
-            axial = axial.reshape(len(x), -1)
-            dwm_w = np.tile(t_w, panels)
-        passes[name] = {
-            "pump_rule_order": pump_order,
-            "dwm_nodes": dwm_w.size,
-            "phi_grid": axial.shape,
-        }
-        return float(x_w @ ((axial * axial) @ dwm_w))
+        power, coeff_m = 2, 0.25 * gvd_kappa0 * Lz
+        method, diag = "Gauss-Hermite pump", {"gvd_kappa0": gvd_kappa0}
+    edges = _dwm_panel_edges(coeff_m, power, phi_halfwidth)
 
     # a non-finite pass makes the refinement estimate NaN or inf, which the
     # check below rejects, so numpy's floating-point warnings would only
     # add noise
     with np.errstate(all="ignore"):
-        fine = window_integral("fine", order, dwm_fine)
-        coarse = window_integral("coarse", order // 2, dwm_coarse)
+        if power == 1:
+            t, w = gauss_legendre(8)
+            halves = [e[-1] / (len(e) - 1) for e in edges]
+            centres = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in edges])
+            axial = ell_integral(coeff_m * centres, xi, C,
+                                 offsets=coeff_m * np.concatenate([hw * t for hw in halves]))
+            squared, split = axial * axial, len(edges[0]) - 1
+            blocks = (squared[:8, :split], squared[8:, split:])
+            sums = [float((hw * w) @ block.sum(axis=1)) for hw, block in zip(halves, blocks)]
+            grids = [{"dwm_nodes": block.size, "phi_grid": block.shape} for block in blocks]
+        else:
+            order = _pump_rule_order(abs(coeff_p) * pump.bandwidth)
+            sums, grids = [], []
+            for pump_order, dwm_edges in zip((order, order // 2), edges):
+                x, x_w = _pump_rule(pump_order)
+                # phi is even in dwm and the edges are symmetric about 0:
+                # integrate over dwm >= 0 and double
+                dwm, dwm_w = panel_nodes(dwm_edges[len(dwm_edges) // 2:], 8)
+                axial = ell_integral(coeff_m * dwm ** 2, xi, C,
+                                     offsets=coeff_p * pump.bandwidth * x)
+                sums.append(float(x_w @ ((axial * axial) @ (2.0 * dwm_w))))
+                grids.append({"pump_rule_order": pump_order, "dwm_nodes": dwm_w.size,
+                              "phi_grid": axial.shape})
+    fine, coarse = sums
+    passes = dict(zip(("fine", "coarse"), grids))
 
     # |ell_integral|^2 ~ 8 / (|1 + i xi - C xi^2|^2 phi^2) beyond the
     # window; its two tails in dwm, against a pump density that integrates
     # to one
-    w_minus = float(dwm_fine[-1])
+    w_minus = float(edges[0][-1])
     edge_denominator_sq = (1.0 - C * xi * xi) ** 2 + xi * xi
     tail_abs = 16.0 / (
         (2 * power - 1) * edge_denominator_sq * coeff_m ** 2 * w_minus ** (2 * power - 1)
@@ -458,7 +462,7 @@ def _bruteforce_rate(
         method=METHOD_BRUTE_FORCE,
         quadrature_error_estimate=refinement + next_order + lobe,
         diagnostics={
-            "method": "Gauss-Hermite pump x Gauss-Legendre dwm, 1/phi^2 tail added",
+            "method": f"{method} x Gauss-Legendre dwm, 1/phi^2 tail added",
             "phi_halfwidth": phi_halfwidth,
             "delta_omega_minus_halfwidth": w_minus,
             **diag,
@@ -483,12 +487,15 @@ def pairs_via_bruteforce(
     Integrates |psi(w1, w2)|^2 of the joint spectral amplitude over the pump
     band and the phase-matching band in the sum/difference detuning
     coordinates, with the linear phase-mismatch model and the axial integral
-    evaluated pointwise (no delta-function reduction). The squared axial
-    integral has a slowly decaying 1/phi^2 tail, which is added
-    analytically beyond the phi window; the window, derived from xi, keeps
-    what that leaves out (the next-order tail term and the pole lobe at
-    large xi) near 1e-4 of the rate. The quadrature refinement estimate
-    must come in under the same 1e-4, or ``QuadratureError`` is raised.
+    evaluated pointwise (no delta-function reduction). Each pump detuning
+    only shifts phi, and the pump density integrates to one, so the pump
+    axis integrates out exactly: ``pump`` is not read, and the value is the
+    same bits at any bandwidth. The squared axial integral has a slowly
+    decaying 1/phi^2 tail, which is added analytically beyond the phi
+    window; the window, derived from xi, keeps what that leaves out (the
+    next-order tail term and the pole lobe at large xi) near 1e-4 of the
+    rate. The quadrature refinement estimate must come in under the same
+    1e-4, or ``QuadratureError`` is raised.
     """
     _require_nondegenerate(material)
     return _bruteforce_rate(material, beams, pump, constants)
@@ -509,7 +516,10 @@ def pairs_degenerate_numeric(
     case. ``gvd_kappa0`` is the group-velocity-dispersion coefficient at the
     degenerate point (s^2/m). The phi window is the linear-model one,
     which is conservative here because the tail decays faster in dwm, and
-    the refinement estimate must come in under the same 1e-4.
+    the refinement estimate must come in under the same 1e-4. This phi is
+    not shift-invariant in dwp, so the pump axis does not integrate out: it
+    is a Gauss-Hermite rule whose order grows with the phase spread
+    |a| sigma of ``pump``, and past 256 nodes ``QuadratureError`` is raised.
     """
     if not (math.isfinite(gvd_kappa0) and gvd_kappa0 != 0.0):
         raise DomainError(

@@ -126,9 +126,24 @@ class TestRateCommand:
         assert len(lines) == 1 and lines[0].startswith("numerical error:")
         assert "estimate nan" in lines[0]
 
+    def test_oracle_broadband_pump_is_the_shipped_value(self, capsys, tmp_path):
+        # the linear oracle integrates the pump axis out: a pump past the
+        # Gauss-Hermite cap of the degenerate path prints the same oracle
+        # lines as the shipped 1e10 rad/s
+        def oracle_lines(bandwidth):
+            doc = load_json(PPKTP_CONFIG)
+            doc["pump"]["bandwidth_rad_s"] = bandwidth
+            cfg = write_json(tmp_path, f"pump{bandwidth:g}.json", doc)
+            code, out, err = run_cli(capsys, "rate", "--config", cfg, "--oracle")
+            assert code == 0 and err == ""
+            return [ln for ln in out.splitlines() if ln.startswith("oracle")]
+
+        broad = oracle_lines(1.2e14)
+        assert len(broad) == 3 and broad == oracle_lines(1e10)
+
     def test_oracle_cw_limit_pump(self, capsys, tmp_path):
-        # the Gauss-Hermite pump axis evaluates no density, so a vanishing
-        # bandwidth is the CW limit, not an underflow
+        # the linear oracle does not read the pump, so a vanishing bandwidth
+        # is the CW limit, not an underflow
         doc = load_json(PPKTP_CONFIG)
         doc["pump"]["bandwidth_rad_s"] = 1e-300
         cfg = write_json(tmp_path, "narrow.json", doc)
@@ -183,17 +198,25 @@ class TestRateCommand:
         assert lines[0].startswith("error: gvd_kappa0 must be finite and nonzero")
 
     def test_refinement_past_the_target_is_numerical_error(self, capsys, monkeypatch):
-        # coarse-pass pump weights off by 1e-3 put the refinement estimate
-        # past the oracle's 1e-4 target
+        # a coarse pass off by 1e-3 puts the refinement estimate past the
+        # oracle's 1e-4 target: on the linear path the squared rows of the
+        # coarse dwm pass (rows 8 on of its one table), on the degenerate
+        # path the coarse pump weights
         import spdc.rates
 
-        rule = spdc.rates._pump_rule
+        rule, ell_integral = spdc.rates._pump_rule, spdc.rates.ell_integral
 
         def skewed(order):
             x, w = rule(order)
             return (x, w * 1.001) if order == spdc.rates._PUMP_ORDER // 2 else (x, w)
 
+        def skewed_dwm(phi, xi, C, offsets):
+            table = ell_integral(phi, xi, C, offsets=offsets)
+            table[8:] *= math.sqrt(1.001)
+            return table
+
         monkeypatch.setattr(spdc.rates, "_pump_rule", skewed)
+        monkeypatch.setattr(spdc.rates, "ell_integral", skewed_dwm)
         code, out, err = run_cli(capsys, "rate", "--config", PPKTP_CONFIG, "--oracle")
         assert code == 2
         assert err.splitlines() == [

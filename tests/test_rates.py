@@ -244,30 +244,75 @@ class TestBruteForce:
         beams = equal_focus_beams(ppktp_base_beams, 1.0)
         d = pairs_via_bruteforce(ppktp_material, beams, narrowband_pump).diagnostics
         assert "pump_halfwidth_sigmas" not in d
-        assert "Gauss-Hermite" in d["method"]
+        assert "pump axis integrated out" in d["method"]
         fine, coarse = d["passes"]["fine"], d["passes"]["coarse"]
-        assert (fine["pump_rule_order"], coarse["pump_rule_order"]) == (8, 4)
-        assert fine["phi_grid"] == (8, fine["dwm_nodes"])
-        assert coarse["phi_grid"] == (4, coarse["dwm_nodes"])
+        # one table: the 8 in-panel nodes of each pass by its panel centres
+        edges = _dwm_panel_edges(1.0, 1, d["phi_halfwidth"])
+        for grid, layout in zip((fine, coarse), edges):
+            assert "pump_rule_order" not in grid
+            assert grid["phi_grid"] == (8, len(layout) - 1)
+            assert grid["dwm_nodes"] == 8 * (len(layout) - 1)
         assert coarse["dwm_nodes"] < fine["dwm_nodes"]
         for key in ("refinement_estimate", "next_order_estimate", "lobe_estimate"):
             assert 0.0 <= d[key] < 2e-4
         assert 0.0 < d["tail_correction"] < 0.01 * d["window_integral"]
 
-    def test_broadband_pump_raises_rule_order(self, ppktp_material, ppktp_base_beams):
-        # a pump whose bandwidth spreads phi by ~3 rad per sigma needs more
-        # Gauss-Hermite nodes and still lands on the closed form
+    def test_broadband_pump_raises_rule_order(self, ppktp_material, ppktp_base_beams,
+                                              monkeypatch):
+        # on the degenerate path a pump whose bandwidth spreads phi by ~3 rad
+        # per sigma needs more Gauss-Hermite nodes, and twice as many move
+        # the value by less than its estimate
+        import dataclasses
         beams = equal_focus_beams(ppktp_base_beams, 1.0)
-        m = ppktp_material
+        m = dataclasses.replace(ppktp_material, ng_2=ppktp_material.ng_1)
         coeff_p, _ = phase_mismatch_coefficients(
             m.ng_p, m.ng_1, m.ng_2, beams.crystal_length, C
         )
         broad = PumpSpec(bandwidth=3.0 / abs(coeff_p))
-        res = pairs_via_bruteforce(ppktp_material, beams, broad)
-        assert res.diagnostics["passes"]["fine"]["pump_rule_order"] == _pump_rule_order(3.0)
-        assert _pump_rule_order(3.0) > _pump_rule_order(1e-3) == 8
-        closed = pairs_closed_form(ppktp_material, beams).pairs_per_pump_photon
-        assert abs(res.pairs_per_pump_photon / closed - 1.0) <= 2e-4
+        res = pairs_degenerate_numeric(m, beams, broad, 1e-25)
+        order = res.diagnostics["passes"]["fine"]["pump_rule_order"]
+        assert order == _pump_rule_order(abs(coeff_p) * broad.bandwidth)
+        assert order > _pump_rule_order(1e-3) == 8
+        monkeypatch.setattr("spdc.rates._pump_rule_order", lambda spread: 2 * order)
+        ref = pairs_degenerate_numeric(m, beams, broad, 1e-25)
+        assert ref.diagnostics["passes"]["fine"]["pump_rule_order"] == 2 * order
+        dev = abs(res.pairs_per_pump_photon / ref.pairs_per_pump_photon - 1.0)
+        assert dev <= res.quadrature_error_estimate <= 2e-4
+
+    def test_linear_value_does_not_read_the_bandwidth(self, ppktp_material,
+                                                       ppktp_base_beams):
+        # each pump row only shifts the linear phi, so the pump axis
+        # integrates out: the same bits at any bandwidth, also past the
+        # Gauss-Hermite cap of the degenerate path (1.2e14 rad/s here)
+        beams = equal_focus_beams(ppktp_base_beams, 1.0)
+        values = {pairs_via_bruteforce(ppktp_material, beams,
+                                       PumpSpec(bandwidth=bw)).pairs_per_pump_photon
+                  for bw in (1e8, 1e10, 1e14, 1.2e14, 1e15)}
+        assert len(values) == 1
+
+    @pytest.mark.parametrize("xi", [0.1, 1.0, 5.0])
+    def test_one_row_matches_the_pump_by_dwm_table(self, xi):
+        # the 2-D integral the one row replaces: 8 Gauss-Hermite pump rows
+        # by the fine dwm nodes, built from ell_integral's offsets, at the
+        # shipped bandwidth
+        cfg = load_config(CONFIG_DIR / "ppktp_type2.json")
+        material, pump = cfg.material_optics(), cfg.pump_spec()
+        beams = equal_focus_beams(cfg.beam_triple(), xi)
+        d = pairs_via_bruteforce(material, beams, pump).diagnostics
+        coeff_p, coeff_m = phase_mismatch_coefficients(
+            material.ng_p, material.ng_1, material.ng_2, beams.crystal_length, C
+        )
+        params = overlap_params(beams)
+        edges, _ = _dwm_panel_edges(coeff_m, 1, d["phi_halfwidth"])
+        dwm, dwm_w = panel_nodes(edges, 8)
+        x, x_w = _pump_rule(8)
+        axial = ell_integral(coeff_m * dwm, params.xi_agg, params.C_quad,
+                             offsets=coeff_p * pump.bandwidth * x)
+        amplitude = _jsa_prefactor(material, beams, CONSTANTS) * abs(
+            overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
+        )
+        table = 0.5 * amplitude * amplitude * float(x_w @ ((axial * axial) @ dwm_w))
+        assert abs(d["window_integral"] / table - 1.0) <= 1e-10
 
     def test_pump_phase_spread_past_the_rule_cap_raises(self):
         with pytest.raises(QuadratureError, match="Gauss-Hermite"):
@@ -367,8 +412,8 @@ class TestOraclePinned:
         return cfg.material_optics(), cfg.beam_triple(), cfg.pump_spec()
 
     @pytest.mark.parametrize("xi, expected", [
-        (0.1, 10400.834022360972),
-        (1.0, 81953.08080718438),
+        (0.1, 10400.834022804098),
+        (1.0, 81953.08080740322),
         (5.0, 143308.14540862717),
     ])
     def test_linear(self, setup, xi, expected):
@@ -417,22 +462,25 @@ class TestOracleSweep:
         assert res.diagnostics["refinement_estimate"] <= 1e-7
 
     def test_memory_stays_bounded(self, setup):
-        # a broadband pump (phase spread 8 rad: 136 pump rows) at xi = 30:
-        # the axial table is built in blocks of columns, so the peak stays
-        # near the 136 x 1056 table and one block, not rows x centres
+        # a broadband pump (phase spread 8 rad: 134 pump rows) on the
+        # degenerate path at xi = 30: the axial table is built in blocks of
+        # columns, so the peak stays near the 134 x 528 table and one block
+        import dataclasses
         material, beams, _ = setup
+        material = dataclasses.replace(material, ng_2=material.ng_1)
         beams = equal_focus_beams(beams, 30.0)
         coeff_p, _ = phase_mismatch_coefficients(material.ng_p, material.ng_1,
                                                  material.ng_2, beams.crystal_length, C)
         pump = PumpSpec(bandwidth=8.0 / abs(coeff_p))
-        pairs_via_bruteforce(material, beams, pump)  # build the rules outside the trace
+        # build the rules outside the trace
+        pairs_degenerate_numeric(material, beams, pump, 1e-25)
         tracemalloc.start()
         try:
-            res = pairs_via_bruteforce(material, beams, pump)
+            res = pairs_degenerate_numeric(material, beams, pump, 1e-25)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.diagnostics["passes"]["fine"]["pump_rule_order"] == 136
+        assert res.diagnostics["passes"]["fine"]["pump_rule_order"] == 134
         assert peak <= 20e6
 
     @pytest.mark.parametrize("xi", [0.1, 1.0, 8.0])
