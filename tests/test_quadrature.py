@@ -86,6 +86,51 @@ class TestOffsets:
             )
 
 
+class TestPairOffsets:
+    """The linear oracle's pair table I(t_i + c_p): in-panel phases t_i of
+    two panel half-widths as ``offsets``, panel centres c_p as columns."""
+
+    PHASES = np.concatenate([hw * np.polynomial.legendre.leggauss(8)[0] for hw in (30.0, 60.0)])
+    CENTRES = np.linspace(-1200.0, 1200.0, 41)
+
+    @staticmethod
+    def explicit(t, c, xi, C):
+        return ell_integral(t[:, None] + c[None, :], xi, C)
+
+    @pytest.mark.parametrize("xi", [0.01, 1.0, 12.0])
+    @pytest.mark.parametrize("C", [0.0, 5e-3, -5e-3])
+    def test_equals_the_explicit_grid(self, xi, C):
+        t, c = self.PHASES, self.CENTRES
+        got = ell_integral(c, xi, C, offsets=t)
+        assert got.shape == (t.size, c.size)
+        want = self.explicit(t, c, xi, C)
+        assert np.max(np.abs(got - want)) <= 1e-13 * abs(ell_integral(0.0, xi, C))
+
+    def test_one_zero_centre_is_the_row_call(self):
+        # the centre factor (cos 0, sin 0) is (1, 0): the column is the plain
+        # call on the in-panel phases, to rounding
+        got = ell_integral(np.array([0.0]), 1.0, 1e-3, offsets=self.PHASES)[:, 0]
+        want = ell_integral(self.PHASES, 1.0, 1e-3)
+        assert np.max(np.abs(got - want)) <= 1e-15 * abs(ell_integral(0.0, 1.0, 1e-3))
+
+    def test_blocks_cover_every_column(self):
+        # past one column block (~2,500 columns at |phi| ~ 960) with the 16
+        # phases, then past two with two rows
+        for t, c in ((self.PHASES, np.linspace(-900.0, 900.0, 3001)),
+                     (np.array([-0.5, 1.5]), np.linspace(-900.0, 900.0, 7001))):
+            got = ell_integral(c, 2.0, 0.0, offsets=t)
+            want = self.explicit(t, c, 2.0, 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-13 * abs(ell_integral(0.0, 2.0, 0.0))
+
+    @pytest.mark.parametrize("centres", [
+        [math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0], [6000.0, 0.0], [0.0, -5300.0],
+    ])
+    def test_bad_centre_raises_before_any_arithmetic(self, monkeypatch, centres):
+        # the rule-size peak includes the centres: a rule is never built
+        monkeypatch.setattr(quadrature, "_ell_weights", None)
+        TestNonFinitePhase.raises(np.array(centres), offsets=[0.0, 10.0])
+
+
 class TestWeightsCache:
     """The cached weights row changes no bit of ``ell_integral``."""
 
