@@ -66,8 +66,8 @@ def cmd_rate(
     beams = config.beam_triple()
 
     if degenerate:
-        pump = config.pump_spec()
-        res = pairs_degenerate_numeric(material, beams, pump, kappa0, CONSTANTS)
+        res = pairs_degenerate_numeric(material, beams, config.pump_bandwidth, kappa0,
+                                       CONSTANTS)
         print(f"method: degenerate numeric (kappa0 = {_fmt(kappa0)} s^2/m)")
         print(f"pairs per pump photon:  {_fmt(res.pairs_per_pump_photon)}")
         print(f"pairs per s per mW:     {_fmt(res.pairs_per_s_per_mW)}")
@@ -80,8 +80,7 @@ def cmd_rate(
     print(f"pairs per s per mW (closed form):    {_fmt(res.pairs_per_s_per_mW)}")
     print(f"xi_agg = {_fmt(res.xi_agg)}  A+B+ = {_fmt(res.a_plus_b_plus)}")
     if oracle:
-        pump = config.pump_spec()
-        ref = pairs_via_bruteforce(material, beams, pump, CONSTANTS)
+        ref = pairs_via_bruteforce(material, beams, CONSTANTS)
         dev = (ref.pairs_per_s_per_mW - res.pairs_per_s_per_mW) / res.pairs_per_s_per_mW \
             if res.pairs_per_s_per_mW != 0.0 else 0.0
         print(f"oracle pairs per s per mW (brute force): {_fmt(ref.pairs_per_s_per_mW)}")

@@ -26,7 +26,6 @@ from .materials import (
     load_dispersion_model,
     refractive_index,
 )
-from .rates import PumpSpec
 
 _ENERGY_CONSERVATION_RTOL = 1e-6
 
@@ -68,8 +67,10 @@ class ExperimentConfig:
     ``indices`` holds (n_p, n_1, n_2, ng_p, ng_1, ng_2) either given
     literally or evaluated from dispersion files at the band centers. The
     phase indices and the crystal length go to ``beam_triple``, the group
-    indices to ``material_optics``. ``run`` keeps the optional ``run``
-    block as given; no rate path reads it.
+    indices to ``material_optics``. ``pump_bandwidth`` is the RMS width
+    (rad/s) of the Gaussian pump spectral density, which only the
+    degenerate path reads. ``run`` keeps the optional ``run`` block as
+    given; no rate path reads it.
     """
 
     lambda_p: float
@@ -101,9 +102,6 @@ class ExperimentConfig:
             idler=GaussianMode(self.lambda_2, n_2, self.waist_2),
             crystal_length=self.crystal_length,
         )
-
-    def pump_spec(self) -> PumpSpec:
-        return PumpSpec(bandwidth=self.pump_bandwidth)
 
 
 def _resolve_dispersion(ref, base_dir: Path, where: str) -> DispersionModel:

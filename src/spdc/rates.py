@@ -13,11 +13,11 @@ the underlying frequency-space probability integral by quadrature, with no
 delta-function shortcut, and serves as the oracle for the closed form.
 In the linear phase model each pump detuning only shifts the phase
 mismatch, so the pump axis integrates out exactly and the oracle is one
-quadrature over the difference detuning; the pump spectrum is not read.
+quadrature over the difference detuning that takes no pump spectrum.
 ``pairs_degenerate_numeric`` runs the same quadrature for quadratic phase
 matching, where the pump axis does not integrate out and stays a
-Gauss-Hermite rule. All paths freeze the slowly varying spectral
-prefactors at the band centers so they test the same model.
+Gauss-Hermite rule over the pump bandwidth. All paths freeze the slowly
+varying spectral prefactors at the band centers so they test the same model.
 
 Rates are reported per pump photon and per second per milliwatt of pump
 power (N * P / (hbar omega_p) with P = 1 mW).
@@ -64,35 +64,6 @@ _MAX_PUMP_ORDER = 256
 
 METHOD_CLOSED_FORM = "closed_form"
 METHOD_BRUTE_FORCE = "brute_force"
-
-
-@dataclass(frozen=True)
-class PumpSpec:
-    """Gaussian pump spectrum s(dw) of the detuning dw from the pump centre.
-
-    The centre is 2 pi c / ``beams.pump.lambda_vac``, the one home of the
-    pump wavelength. ``bandwidth`` is the RMS width (rad/s) of the spectral
-    density |s|^2, which integrates to one; CW operation is the narrowband
-    limit. There is no power: rates are per pump photon and per mW.
-    """
-
-    bandwidth: float
-
-    def __post_init__(self):
-        if not (self.bandwidth > 0.0):
-            raise DomainError(f"pump bandwidth must be positive, got {self.bandwidth}")
-
-    def spectral_amplitude(self, detuning):
-        """Normalized amplitude s(dw), units 1/sqrt(rad/s)."""
-        return np.sqrt(self.spectral_density(detuning))
-
-    def spectral_density(self, detuning):
-        """|s(dw)|^2, units 1/(rad/s)."""
-        sigma = self.bandwidth
-        d = np.asarray(detuning)
-        return np.exp(-(d * d) / (2.0 * sigma * sigma)) / (
-            sigma * math.sqrt(2.0 * math.pi)
-        )
 
 
 @dataclass(frozen=True)
@@ -343,11 +314,11 @@ def _dwm_panel_edges(coeff_m: float, power: int, phi_halfwidth: float):
 def _bruteforce_rate(
     material: MaterialOptics,
     beams: BeamTriple,
-    pump: PumpSpec,
     constants: PhysicalConstants,
     gvd_kappa0: Optional[float] = None,
+    pump_bandwidth: Optional[float] = None,
 ) -> RateResult:
-    """Integrate |psi|^2 of the joint spectral amplitude over both detunings.
+    """Integrate |psi|^2 over dwm (linear) or over dwm and the pump band (degenerate).
 
     The phase mismatch is phi = coeff_p dwp + coeff_m dwm^power in the sum
     (dwp) and difference (dwm) detunings, with power 1 and the coefficients
@@ -362,14 +333,15 @@ def _bruteforce_rate(
     and the pole lobe beyond the window.
 
     Linear: each pump row only shifts phi and the pump density integrates
-    to one, so over the dwm line the pump axis integrates out and ``pump``
-    is not read. The panels are equal, so a node is its panel centre mid_p
+    to one, so over the dwm line the pump axis integrates out and takes no
+    bandwidth. The panels are equal, so a node is its panel centre mid_p
     plus hw t_i (t_i the 8 Gauss-Legendre nodes, hw the half-width). One
     ``ell_integral`` call serves both passes: the 16 in-panel phases
     coeff_m hw t_i as ``offsets``, the P_f + P_c centre phases coeff_m mid_p
     as columns, (16 + P_f + P_c) exponentials per node of the folded rule;
     each pass sums its own block with weights hw w_i. Degenerate: phi is
-    not shift-invariant, so the pump axis is a Gauss-Hermite rule, of half
+    not shift-invariant, so the pump axis is a Gauss-Hermite rule for the
+    Gaussian pump density of RMS width ``pump_bandwidth`` (rad/s), of half
     the order on the coarse pass, and each pass is one call with the pump
     rows as ``offsets`` and the dwm phases as columns.
     """
@@ -400,7 +372,7 @@ def _bruteforce_rate(
             sums = [float((hw * w) @ block.sum(axis=1)) for hw, block in zip(halves, blocks)]
             grids = [{"dwm_nodes": block.size, "phi_grid": block.shape} for block in blocks]
         else:
-            order = _pump_rule_order(abs(coeff_p) * pump.bandwidth)
+            order = _pump_rule_order(abs(coeff_p) * pump_bandwidth)
             sums, grids = [], []
             for pump_order, dwm_edges in zip((order, order // 2), edges):
                 x, x_w = _pump_rule(pump_order)
@@ -408,7 +380,7 @@ def _bruteforce_rate(
                 # integrate over dwm >= 0 and double
                 dwm, dwm_w = panel_nodes(dwm_edges[len(dwm_edges) // 2:], 8)
                 axial = ell_integral(coeff_m * dwm ** 2, xi, C,
-                                     offsets=coeff_p * pump.bandwidth * x)
+                                     offsets=coeff_p * pump_bandwidth * x)
                 sums.append(float(x_w @ ((axial * axial) @ (2.0 * dwm_w))))
                 grids.append({"pump_rule_order": pump_order, "dwm_nodes": dwm_w.size,
                               "phi_grid": axial.shape})
@@ -479,32 +451,30 @@ def _bruteforce_rate(
 def pairs_via_bruteforce(
     material: MaterialOptics,
     beams: BeamTriple,
-    pump: PumpSpec,
     constants: PhysicalConstants = CONSTANTS,
 ) -> RateResult:
-    """Pair probability by 2-D quadrature of the frequency-space integral.
+    """Pair probability by quadrature of the frequency-space integral.
 
-    Integrates |psi(w1, w2)|^2 of the joint spectral amplitude over the pump
-    band and the phase-matching band in the sum/difference detuning
-    coordinates, with the linear phase-mismatch model and the axial integral
-    evaluated pointwise (no delta-function reduction). Each pump detuning
-    only shifts phi, and the pump density integrates to one, so the pump
-    axis integrates out exactly: ``pump`` is not read, and the value is the
-    same bits at any bandwidth. The squared axial integral has a slowly
-    decaying 1/phi^2 tail, which is added analytically beyond the phi
-    window; the window, derived from xi, keeps what that leaves out (the
-    next-order tail term and the pole lobe at large xi) near 1e-4 of the
-    rate. The quadrature refinement estimate must come in under the same
-    1e-4, or ``QuadratureError`` is raised.
+    Integrates |psi(w1, w2)|^2 of the joint spectral amplitude over the
+    phase-matching band, as one quadrature over the difference detuning,
+    with the linear phase-mismatch model and the axial integral evaluated
+    pointwise (no delta-function reduction). Each pump detuning only
+    shifts phi, and the pump density integrates to one, so the pump axis
+    integrates out exactly and the oracle takes no pump spectrum. The
+    squared axial integral has a slowly decaying 1/phi^2 tail, which is
+    added analytically beyond the phi window; the window, derived from xi,
+    keeps what that leaves out (the next-order tail term and the pole lobe
+    at large xi) near 1e-4 of the rate. The quadrature refinement estimate
+    must come in under the same 1e-4, or ``QuadratureError`` is raised.
     """
     _require_nondegenerate(material)
-    return _bruteforce_rate(material, beams, pump, constants)
+    return _bruteforce_rate(material, beams, constants)
 
 
 def pairs_degenerate_numeric(
     material: MaterialOptics,
     beams: BeamTriple,
-    pump: PumpSpec,
+    pump_bandwidth: float,
     gvd_kappa0: float,
     constants: PhysicalConstants = CONSTANTS,
 ) -> RateResult:
@@ -518,41 +488,21 @@ def pairs_degenerate_numeric(
     which is conservative here because the tail decays faster in dwm, and
     the refinement estimate must come in under the same 1e-4. This phi is
     not shift-invariant in dwp, so the pump axis does not integrate out: it
-    is a Gauss-Hermite rule whose order grows with the phase spread
-    |a| sigma of ``pump``, and past 256 nodes ``QuadratureError`` is raised.
+    is a Gauss-Hermite rule for the Gaussian pump density of RMS width
+    ``pump_bandwidth`` (rad/s, centred on 2 pi c / ``beams.pump.lambda_vac``),
+    whose order grows with the phase spread |a| sigma, and past 256 nodes
+    ``QuadratureError`` is raised.
     """
     if not (math.isfinite(gvd_kappa0) and gvd_kappa0 != 0.0):
         raise DomainError(
             f"gvd_kappa0 must be finite and nonzero for the degenerate path, "
             f"got {gvd_kappa0}"
         )
-    return _bruteforce_rate(material, beams, pump, constants, gvd_kappa0)
-
-
-def overlap_value(
-    omega1,
-    omega2,
-    material: MaterialOptics,
-    beams: BeamTriple,
-    constants: PhysicalConstants = CONSTANTS,
-):
-    """Overlap O(w1, w2) of the joint spectral amplitude.
-
-    Waists, focal parameters and normalization are frozen at the central
-    wavelengths of ``beams``; only the phase mismatch varies with (w1, w2),
-    through the linear model. Accepts arrays.
-    """
-    params = overlap_params(beams)
-    d1 = np.asarray(omega1) - _angular_frequency(beams.signal.lambda_vac, constants)
-    d2 = np.asarray(omega2) - _angular_frequency(beams.idler.lambda_vac, constants)
-    coeff_p, coeff_m = phase_mismatch_coefficients(
-        material.ng_p, material.ng_1, material.ng_2, beams.crystal_length, constants.c,
-    )
-    # an overflowing or inf - inf phase is left to ell_integral, which refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = coeff_p * (d1 + d2) + coeff_m * (d1 - d2)
-    pref = overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
-    return pref * ell_integral(phi, params.xi_agg, params.C_quad)
+    if not (0.0 < pump_bandwidth < math.inf):
+        raise DomainError(
+            f"pump bandwidth must be positive and finite, got {pump_bandwidth}"
+        )
+    return _bruteforce_rate(material, beams, constants, gvd_kappa0, pump_bandwidth)
 
 
 def _jsa_prefactor(
@@ -560,7 +510,13 @@ def _jsa_prefactor(
     beams: BeamTriple,
     constants: PhysicalConstants,
 ) -> float:
-    """Frequency-independent factor of psi in front of s(w1 + w2 - wp0) O(w1, w2)."""
+    """sqrt(2 pi^2 hbar / (eps0 lp0 l10 l20)) * sqrt(ng1 ng2 ngp / (np^2 n1^2 n2^2)).
+
+    The joint spectral amplitude is psi = this * s(w1 + w2 - wp0) * O(w1, w2),
+    with s the normalised pump spectrum and O = ``overlap_prefactor`` times
+    ``ell_integral(phi)``; |psi|^2 over both frequencies is the pair
+    probability per pump photon.
+    """
     return math.sqrt(
         2.0 * math.pi ** 2 * constants.hbar
         / (constants.epsilon0 * beams.pump.lambda_vac
@@ -569,32 +525,6 @@ def _jsa_prefactor(
         material.ng_1 * material.ng_2 * material.ng_p
         / (beams.pump.n ** 2 * beams.signal.n ** 2 * beams.idler.n ** 2)
     )
-
-
-def jsa_value(
-    omega1,
-    omega2,
-    pump: PumpSpec,
-    material: MaterialOptics,
-    beams: BeamTriple,
-    constants: PhysicalConstants = CONSTANTS,
-):
-    """Joint spectral amplitude psi(w1, w2).
-
-    psi = sqrt(2 pi^2 hbar N_p / (eps0 lp0 l10 l20))
-          * sqrt(ng1 ng2 ngp / (np^2 n1^2 n2^2))
-          * s(w1 + w2 - wp0) * O(w1, w2)
-
-    with the central wavelengths and phase indices of ``beams``,
-    wp0 = 2 pi c / lp0, the spectrum s of ``pump`` and O from
-    ``overlap_value``. N_p = 1: |psi|^2 integrated over both frequencies is
-    the pair probability per pump photon. Accepts arrays.
-    """
-    # O first: it refuses a non-finite phase before the pump detuning could warn
-    overlap = overlap_value(omega1, omega2, material, beams, constants)
-    wp0 = _angular_frequency(beams.pump.lambda_vac, constants)
-    s = pump.spectral_amplitude(np.asarray(omega1) + np.asarray(omega2) - wp0)
-    return _jsa_prefactor(material, beams, constants) * s * overlap
 
 
 def bennink_ratio(

@@ -12,7 +12,6 @@ import pytest
 
 from spdc.beams import BeamTriple, GaussianMode
 from spdc.materials import MaterialOptics
-from spdc.rates import PumpSpec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -47,4 +46,5 @@ def ppktp_base_beams():
 
 @pytest.fixture(scope="session")
 def narrowband_pump():
-    return PumpSpec(bandwidth=1e10)
+    """RMS pump bandwidth (rad/s) for the degenerate path, the one that reads it."""
+    return 1e10

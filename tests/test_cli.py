@@ -224,9 +224,10 @@ class TestRateCommand:
             "exceeds tolerance 1.000e-04"
         ]
         config = load_config(PPKTP_CONFIG)
-        setup = (config.material_optics(), config.beam_triple(), config.pump_spec())
+        setup = (config.material_optics(), config.beam_triple())
         for oracle in (lambda: spdc.rates.pairs_via_bruteforce(*setup),
-                       lambda: spdc.rates.pairs_degenerate_numeric(*setup, 1e-25)):
+                       lambda: spdc.rates.pairs_degenerate_numeric(
+                           *setup, config.pump_bandwidth, 1e-25)):
             with pytest.raises(QuadratureError, match="exceeds tolerance 1.000e-04"):
                 oracle()
 

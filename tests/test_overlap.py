@@ -32,12 +32,11 @@ from spdc.overlap import (
     aggregate_parameters,
     overlap_direct,
     overlap_params,
-    overlap_prefactor,
     overlap_simplified,
     phase_mismatch_coefficients,
 )
-from spdc.quadrature import MAX_PANELS, ell_integral, panel_nodes
-from spdc.rates import equal_focus_beams, overlap_value, pairs_closed_form
+from spdc.quadrature import MAX_PANELS, panel_nodes
+from spdc.rates import equal_focus_beams, pairs_closed_form
 
 from conftest import LAMBDA_1, LAMBDA_2, LAMBDA_P, N_1, N_2, N_P
 
@@ -239,17 +238,6 @@ class TestAPlusBPlus:
 
 
 class TestPhaseMismatch:
-    def test_band_center(self):
-        # overlap_value at the band centres is the phi = 0 axial integral
-        beams = equal_focus_triple(1e-2, 1.0)
-        material = MaterialOptics(1.8, 1.76, 1.85, 2.4e-12)
-        w10, w20 = (2.0 * math.pi * CONSTANTS.c / m.lambda_vac
-                    for m in (beams.signal, beams.idler))
-        params = overlap_params(beams)
-        want = overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm) \
-            * ell_integral(0.0, params.xi_agg, params.C_quad)
-        assert overlap_value(w10, w20, material, beams) == want
-
     def test_narrowband_pump_linear_in_difference(self):
         ng1, ng2, ngp = 1.76, 1.85, 1.80
         Lz, c = 1e-2, CONSTANTS.c
