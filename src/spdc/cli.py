@@ -274,12 +274,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message.removeprefix("argument "))
 
 
-def _attach_ranges(argv: list) -> list:
-    """Rewrite ``--range -2:2`` (argparse takes -2:2 for an option) as ``--range=-2:2``."""
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Attach a negative value to its flag: ``--range -2:2`` becomes ``--range=-2:2``.
+
+    argparse takes a value that starts with '-' for an option unless it
+    reads as a plain negative number such as -2. ``--range`` and
+    ``--xi-range`` take a following lo:hi, ``--kappa0`` a following number.
+    """
     out = []
     for arg in argv:
-        if out and out[-1] in _RANGE_FLAGS and arg.startswith("-") and ":" in arg:
-            out[-1] = f"{out[-1]}={arg}"
+        flag = out[-1] if out else None
+        if arg.startswith("-") and (flag in _RANGE_FLAGS and ":" in arg
+                                    or flag == "--kappa0" and _is_float(arg)):
+            out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)
     return out
@@ -324,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(argv: list) -> int:
-    args = build_parser().parse_args(_attach_ranges(argv))
+    args = build_parser().parse_args(_attach_negative_values(argv))
     if args.command == "rate":
         config = load_config(args.config)
         return cmd_rate(

@@ -75,13 +75,13 @@ class RateResult:
     plus the next-order tail term plus the pole lobe beyond the window, all
     left after the analytic 1/phi^2 tail has been added to the window
     integral. For the brute-force path ``diagnostics`` holds the method,
-    the phi window and its dwm edge, each pass's dwm node count and
+    the phi window Phi and its dwm edge jacobian Phi^(1 / power) (the
+    passes run over v = dwm / jacobian), each pass's node count and
     (rows, columns) phi grid under ``passes`` (in-panel nodes by panels on
-    the linear path, whose pump axis integrates out; pump rows by dwm
-    nodes, with the Gauss-Hermite pump order, on the degenerate path), the
-    raw ``window_integral`` and the ``tail_correction`` (pairs per pump
-    photon, summing to the result) and the three estimate terms;
-    informational only.
+    the linear path, whose pump axis integrates out; pump rows by v nodes,
+    with the Gauss-Hermite pump order, on the degenerate path), the raw
+    ``window_integral`` and the ``tail_correction`` (pairs per pump photon,
+    summing to the result) and the three estimate terms; informational only.
     """
 
     pairs_per_pump_photon: float
@@ -282,35 +282,6 @@ def _pump_rule_order(phase_spread: float) -> int:
     return _PUMP_ORDER + 2 * int(growth)
 
 
-def _dwm_panel_edges(coeff_m: float, power: int, phi_halfwidth: float):
-    """Fine and coarse difference-detuning panel edges over the phi window.
-
-    Each side gets m = max(2, ceil(Phi / (2 pi))) panels whose edges sit
-    where |coeff_m| |dwm|^power = Phi k / m, so every panel spans at most
-    2 pi of phase and the outermost edge maps to exactly ``phi_halfwidth``.
-    That is one period of the fastest oscillation of |ell_integral|^2,
-    whose spectrum in phi lies within [-1, 1]; eight Gauss-Legendre nodes
-    resolve it. The coarse layout has ceil(m / 2) panels per side: for
-    power 1 laid out the same way, so both layouts are equal panels in
-    dwm; for power 2 every other edge, plus the last one when m is odd.
-    For even m the two rules give the same edges.
-    """
-    m = max(2, int(math.ceil(phi_halfwidth / (2.0 * math.pi))))
-
-    def positions(count):
-        return (phi_halfwidth * (np.arange(count + 1) / count) / abs(coeff_m)) ** (1.0 / power)
-
-    pos = positions(m)
-    if power == 1:
-        pos_coarse = positions(-(-m // 2))
-    else:
-        pos_coarse = pos[::2] if m % 2 == 0 else np.append(pos[::2], pos[-1])
-    return (
-        np.concatenate((-pos[::-1], pos[1:])),
-        np.concatenate((-pos_coarse[::-1], pos_coarse[1:])),
-    )
-
-
 def _bruteforce_rate(
     material: MaterialOptics,
     beams: BeamTriple,
@@ -323,31 +294,36 @@ def _bruteforce_rate(
     The phase mismatch is phi = coeff_p dwp + coeff_m dwm^power in the sum
     (dwp) and difference (dwm) detunings, with power 1 and the coefficients
     of ``phase_mismatch_coefficients`` (linear phase matching), or with
-    ``gvd_kappa0`` power 2 and coeff_m = kappa0 Lz / 4 (degenerate). The phi
-    window is always ``_auto_phi_halfwidth(xi)`` and the dwm axis is
-    Gauss-Legendre panels over it; a pass with ceil(m / 2) of the m dwm
-    panels per side gives the refinement estimate, which must come in under
+    ``gvd_kappa0`` power 2 and coeff_m = kappa0 Lz / 4 (degenerate). Both
+    passes run over v = |coeff_m|^(1 / power) dwm, where that term is
+    sign(coeff_m) v^power, so the detuning scale is one factor, the
+    Jacobian |coeff_m|^(-1 / power); a zero or non-finite one raises
+    ``DomainError``. The phi window is Phi = ``_auto_phi_halfwidth(xi)``.
+    Each side of v = 0 has m = max(2, ceil(Phi / (2 pi))) panels of equal
+    phase, each at most 2 pi: one period of the fastest oscillation of
+    |ell_integral|^2 (its spectrum in phi lies within [-1, 1]), which 8
+    Gauss-Legendre nodes resolve. A coarse pass of ceil(m / 2) panels per
+    side gives the refinement estimate, which must come in under
     ``_WINDOW_TARGET`` or ``QuadratureError`` is raised. The analytic
     1/phi^2 tail beyond the window is added to the window integral, and the
     error estimate adds the refinement difference, the next-order tail term
     and the pole lobe beyond the window.
 
     Linear: each pump row only shifts phi and the pump density integrates
-    to one, so over the dwm line the pump axis integrates out and takes no
-    bandwidth. The panels are equal, so a node is its panel centre mid_p
-    plus hw t_i (t_i the 8 Gauss-Legendre nodes, hw the half-width). One
-    ``ell_integral`` call serves both passes: the 16 in-panel phases
-    coeff_m hw t_i as ``offsets``, the P_f + P_c centre phases coeff_m mid_p
-    as columns, (16 + P_f + P_c) exponentials per node of the folded rule;
-    each pass sums its own block with weights hw w_i. Degenerate: phi is
-    not shift-invariant, so the pump axis is a Gauss-Hermite rule for the
+    to one, so the pump axis integrates out and takes no bandwidth. With
+    panels of half-width hw = Phi / (2 count) and centres hw (2k + 1), one
+    ``ell_integral`` call serves both passes: the 16 in-panel phases sign hw
+    t_i as ``offsets``, the fine and coarse centre phases as columns; each
+    pass sums its own block with weights hw w_i. Degenerate: phi is not
+    shift-invariant, so the pump axis is a Gauss-Hermite rule for the
     Gaussian pump density of RMS width ``pump_bandwidth`` (rad/s), of half
     the order on the coarse pass, and each pass is one call with the pump
-    rows as ``offsets`` and the dwm phases as columns.
+    rows as ``offsets`` and as columns the phases on the v >= 0 panels
+    between v = sqrt(Phi k / count), doubled as phi is even in v.
     """
     params = _positive_params(beams)
     xi, C = params.xi_agg, params.C_quad
-    phi_halfwidth = _auto_phi_halfwidth(xi)
+    Phi = _auto_phi_halfwidth(xi)  # the phi window half-width
     Lz = beams.crystal_length
     coeff_p, coeff_m = phase_mismatch_coefficients(material.ng_p, material.ng_1,
                                                    material.ng_2, Lz, constants.c)
@@ -355,62 +331,62 @@ def _bruteforce_rate(
     if gvd_kappa0 is not None:
         power, coeff_m = 2, 0.25 * gvd_kappa0 * Lz
         method, diag = "Gauss-Hermite pump", {"gvd_kappa0": gvd_kappa0}
-    edges = _dwm_panel_edges(coeff_m, power, phi_halfwidth)
+    sign = math.copysign(1.0, coeff_m)
+    m = max(2, int(math.ceil(Phi / (2.0 * math.pi))))
+    counts = (m, -(-m // 2))  # fine and coarse panels per side
 
-    # a non-finite pass makes the refinement estimate NaN or inf, which the
-    # check below rejects, so numpy's floating-point warnings would only
-    # add noise
+    # numpy's floating-point warnings would only add noise: a coeff_m that
+    # underflowed to 0 or overflowed gives a Jacobian refused here, and a
+    # non-finite pass a refinement estimate that the check below rejects
     with np.errstate(all="ignore"):
+        jacobian = float(np.float64(abs(coeff_m)) ** (-1.0 / power))
+        if not (0.0 < jacobian < math.inf):
+            raise DomainError(f"difference-detuning coefficient {coeff_m:.4g} of phi has "
+                              f"no positive finite detuning scale (got {jacobian:.4g})")
         if power == 1:
             t, w = gauss_legendre(8)
-            halves = [e[-1] / (len(e) - 1) for e in edges]
-            centres = np.concatenate([0.5 * (e[:-1] + e[1:]) for e in edges])
-            axial = ell_integral(coeff_m * centres, xi, C,
-                                 offsets=coeff_m * np.concatenate([hw * t for hw in halves]))
-            squared, split = axial * axial, len(edges[0]) - 1
+            halves = [Phi / (2 * count) for count in counts]
+            centres = np.concatenate([hw * np.arange(1 - 2 * count, 2 * count, 2)
+                                      for hw, count in zip(halves, counts)])
+            axial = ell_integral(sign * centres, xi, C,
+                                 offsets=sign * np.concatenate([hw * t for hw in halves]))
+            squared, split = axial * axial, 2 * m
             blocks = (squared[:8, :split], squared[8:, split:])
             sums = [float((hw * w) @ block.sum(axis=1)) for hw, block in zip(halves, blocks)]
             grids = [{"dwm_nodes": block.size, "phi_grid": block.shape} for block in blocks]
         else:
             order = _pump_rule_order(abs(coeff_p) * pump_bandwidth)
             sums, grids = [], []
-            for pump_order, dwm_edges in zip((order, order // 2), edges):
+            for pump_order, count in zip((order, order // 2), counts):
                 x, x_w = _pump_rule(pump_order)
-                # phi is even in dwm and the edges are symmetric about 0:
-                # integrate over dwm >= 0 and double
-                dwm, dwm_w = panel_nodes(dwm_edges[len(dwm_edges) // 2:], 8)
-                axial = ell_integral(coeff_m * dwm ** 2, xi, C,
+                v, v_w = panel_nodes(np.sqrt(Phi * np.arange(count + 1) / count), 8)
+                axial = ell_integral(sign * v * v, xi, C,
                                      offsets=coeff_p * pump_bandwidth * x)
-                sums.append(float(x_w @ ((axial * axial) @ (2.0 * dwm_w))))
-                grids.append({"pump_rule_order": pump_order, "dwm_nodes": dwm_w.size,
+                sums.append(float(x_w @ ((axial * axial) @ (2.0 * v_w))))
+                grids.append({"pump_rule_order": pump_order, "dwm_nodes": v_w.size,
                               "phi_grid": axial.shape})
     fine, coarse = sums
     passes = dict(zip(("fine", "coarse"), grids))
 
     # |ell_integral|^2 ~ 8 / (|1 + i xi - C xi^2|^2 phi^2) beyond the
-    # window; its two tails in dwm, against a pump density that integrates
-    # to one
-    w_minus = float(edges[0][-1])
+    # window; its two tails in v = |phi|^(1 / power), against a pump
+    # density that integrates to one
     edge_denominator_sq = (1.0 - C * xi * xi) ** 2 + xi * xi
-    tail_abs = 16.0 / (
-        (2 * power - 1) * edge_denominator_sq * coeff_m ** 2 * w_minus ** (2 * power - 1)
-    )
+    tail_abs = 16.0 / ((2 * power - 1) * edge_denominator_sq * Phi ** (2.0 - 1.0 / power))
     # on the lobe side of phi the pole at l = i / xi adds
     # P = (2 pi / xi) exp(-|phi| / (2 xi)) to ell_integral; bound |P|^2 and
     # its cross term with the 2 / (|phi| sqrt(1 + xi^2)) endpoint terms
-    # beyond the window, then map phi to dwm
-    phi_edge = abs(coeff_m) * w_minus ** power
-    lobe_abs = (
-        4.0 * math.pi ** 2 * math.exp(-phi_edge / xi) / xi
-        + 32.0 * math.pi * math.exp(-0.5 * phi_edge / xi) / ((1.0 + xi * xi) * phi_edge)
-    ) / (abs(coeff_m) * w_minus ** (power - 1))
+    # beyond the window, then map phi to v
+    lobe_abs = (4.0 * math.pi ** 2 * math.exp(-Phi / xi) / xi
+                + 32.0 * math.pi * math.exp(-0.5 * Phi / xi) / ((1.0 + xi * xi) * Phi)
+                ) / Phi ** (1.0 - 1.0 / power)
     total = fine + tail_abs
     refinement = abs(fine - coarse) / total
     # with g(l) = 1 / (1 + i xi l - C xi^2 l^2), the oscillating
     # -(8 / phi^2) Re(exp(-i phi) g(1) g(-1)*) part of |ell_integral|^2 and,
     # for power 2, its one-signed 1/phi^3 part; 1 + 4 / Phi covers the
     # terms one order further out
-    next_order = (2 * power - 1) * (1.0 + 4.0 / phi_edge) * tail_abs / (phi_edge * total)
+    next_order = (2 * power - 1) * (1.0 + 4.0 / Phi) * tail_abs / (Phi * total)
     lobe = lobe_abs / total
     if not (refinement <= _WINDOW_TARGET):
         raise QuadratureError(
@@ -419,11 +395,11 @@ def _bruteforce_rate(
             estimate=refinement,
         )
 
-    # d(w1) d(w2) = d(dwp) d(dwm) / 2
+    # d(w1) d(w2) = d(dwp) d(dwm) / 2, and d(dwm) = jacobian dv
     amplitude = _jsa_prefactor(material, beams, constants) * abs(
         overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
     )
-    to_pairs = 0.5 * amplitude * amplitude
+    to_pairs = 0.5 * amplitude * amplitude * jacobian
     n_pairs = to_pairs * total
     omega_p = _angular_frequency(beams.pump.lambda_vac, constants)
     return RateResult(
@@ -435,8 +411,8 @@ def _bruteforce_rate(
         quadrature_error_estimate=refinement + next_order + lobe,
         diagnostics={
             "method": f"{method} x Gauss-Legendre dwm, 1/phi^2 tail added",
-            "phi_halfwidth": phi_halfwidth,
-            "delta_omega_minus_halfwidth": w_minus,
+            "phi_halfwidth": Phi,
+            "delta_omega_minus_halfwidth": jacobian * Phi ** (1.0 / power),
             **diag,
             "passes": passes,
             "window_integral": to_pairs * fine,
@@ -461,7 +437,9 @@ def pairs_via_bruteforce(
     pointwise (no delta-function reduction). Each pump detuning only
     shifts phi, and the pump density integrates to one, so the pump axis
     integrates out exactly and the oracle takes no pump spectrum. The
-    squared axial integral has a slowly decaying 1/phi^2 tail, which is
+    quadrature runs over v = |phi|, and the detuning scale 1 / |coeff_m|,
+    which carries the closed form's 1 / |ng_1 - ng_2|, multiplies its sum
+    once. The slowly decaying 1/phi^2 tail of the squared axial integral is
     added analytically beyond the phi window; the window, derived from xi,
     keeps what that leaves out (the next-order tail term and the pole lobe
     at large xi) near 1e-4 of the rate. The quadrature refinement estimate
@@ -484,14 +462,16 @@ def pairs_degenerate_numeric(
     detuning entering the mismatch quadratically,
     phi = a dwp + (kappa0 / 4) dwm^2 Lz; no closed form is claimed for this
     case. ``gvd_kappa0`` is the group-velocity-dispersion coefficient at the
-    degenerate point (s^2/m). The phi window is the linear-model one,
-    which is conservative here because the tail decays faster in dwm, and
-    the refinement estimate must come in under the same 1e-4. This phi is
-    not shift-invariant in dwp, so the pump axis does not integrate out: it
-    is a Gauss-Hermite rule for the Gaussian pump density of RMS width
-    ``pump_bandwidth`` (rad/s, centred on 2 pi c / ``beams.pump.lambda_vac``),
-    whose order grows with the phase spread |a| sigma, and past 256 nodes
-    ``QuadratureError`` is raised.
+    degenerate point (s^2/m). The quadrature runs over v = sqrt(|kappa0| Lz
+    / 4) dwm, so at fixed pump and sign the rate goes as |kappa0|^(-1/2); a
+    kappa0 whose coefficient underflows to 0 raises ``DomainError``. The
+    phi window is the linear-model one, which is conservative here because
+    the tail decays faster in v, and the refinement estimate must come in
+    under the same 1e-4. This phi is not shift-invariant in dwp, so the
+    pump axis does not integrate out: it is a Gauss-Hermite rule for the
+    Gaussian pump density of RMS width ``pump_bandwidth`` (rad/s, centred
+    on 2 pi c / ``beams.pump.lambda_vac``), whose order grows with the phase
+    spread |a| sigma; past 256 nodes ``QuadratureError`` is raised.
     """
     if not (math.isfinite(gvd_kappa0) and gvd_kappa0 != 0.0):
         raise DomainError(

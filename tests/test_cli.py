@@ -197,6 +197,38 @@ class TestRateCommand:
         assert len(lines) == 1
         assert lines[0].startswith("error: gvd_kappa0 must be finite and nonzero")
 
+    @pytest.mark.parametrize("kappa0, rate", [("5e-324", False), ("1e-300", True),
+                                              ("1e-200", True), ("1e250", True),
+                                              ("1e300", True)])
+    def test_extreme_kappa0_is_a_rate_or_one_error_line(self, capsys, kappa0, rate):
+        # the detuning scale |kappa0 Lz / 4|^(-1/2) enters as one factor, so
+        # no step of the quadrature overflows; a coefficient that underflows
+        # to 0 has no scale and is refused
+        code, out, err = run_cli(capsys, "rate", "--config", PPKTP_CONFIG,
+                                 "--degenerate", "--kappa0", kappa0)
+        assert "Traceback" not in err
+        if rate:
+            assert code == 0 and err == ""
+            assert math.isfinite(float(out.split("pairs per s per mW:")[1].split()[0]))
+        else:
+            assert code == 2 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("error: difference-detuning coefficient 0 ")
+
+    def test_negative_kappa0_in_either_spelling(self, capsys):
+        # anomalous GVD: argparse would take a spaced -1e-25 for an option
+        args = ("rate", "--config", PPKTP_CONFIG, "--degenerate")
+        spaced = run_cli(capsys, *args, "--kappa0", "-1e-25")
+        assert spaced == run_cli(capsys, *args, "--kappa0=-1e-25")
+        code, out, err = spaced
+        assert code == 0 and err == ""
+        assert "kappa0 = -1.00000000000e-25 s^2/m" in out
+        # what does not read as a number stays an option
+        code, out, err = run_cli(capsys, *args, "--kappa0", "--oracle")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: --kappa0: expected one argument"]
+
     def test_refinement_past_the_target_is_numerical_error(self, capsys, monkeypatch):
         # a coarse pass off by 1e-3 puts the refinement estimate past the
         # oracle's 1e-4 target: on the linear path the squared rows of the

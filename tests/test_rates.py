@@ -28,7 +28,6 @@ from spdc.rates import (
     _MAX_PHI_HALFWIDTH,
     _atan,
     _auto_phi_halfwidth,
-    _dwm_panel_edges,
     _jsa_prefactor,
     _pump_rule,
     _pump_rule_order,
@@ -216,12 +215,13 @@ class TestBruteForce:
         assert "pump_halfwidth_sigmas" not in d
         assert "pump axis integrated out" in d["method"]
         fine, coarse = d["passes"]["fine"], d["passes"]["coarse"]
-        # one table: the 8 in-panel nodes of each pass by its panel centres
-        edges = _dwm_panel_edges(1.0, 1, d["phi_halfwidth"])
-        for grid, layout in zip((fine, coarse), edges):
+        # one table: the 8 in-panel nodes of each pass by its panel centres,
+        # m and ceil(m / 2) panels of equal phase on each side
+        m = max(2, math.ceil(d["phi_halfwidth"] / (2 * math.pi)))
+        for grid, count in zip((fine, coarse), (m, -(-m // 2))):
             assert "pump_rule_order" not in grid
-            assert grid["phi_grid"] == (8, len(layout) - 1)
-            assert grid["dwm_nodes"] == 8 * (len(layout) - 1)
+            assert grid["phi_grid"] == (8, 2 * count)
+            assert grid["dwm_nodes"] == 8 * 2 * count
         assert coarse["dwm_nodes"] < fine["dwm_nodes"]
         for key in ("refinement_estimate", "next_order_estimate", "lobe_estimate"):
             assert 0.0 <= d[key] < 2e-4
@@ -262,7 +262,9 @@ class TestBruteForce:
             material.ng_p, material.ng_1, material.ng_2, beams.crystal_length, C
         )
         params = overlap_params(beams)
-        edges, _ = _dwm_panel_edges(coeff_m, 1, d["phi_halfwidth"])
+        # the fine layout in dwm: 2 m equal panels out to |coeff_m dwm| = Phi
+        m = max(2, math.ceil(d["phi_halfwidth"] / (2 * math.pi)))
+        edges = np.linspace(-1.0, 1.0, 2 * m + 1) * d["phi_halfwidth"] / abs(coeff_m)
         dwm, dwm_w = panel_nodes(edges, 8)
         x, x_w = _pump_rule(8)
         axial = ell_integral(coeff_m * dwm, params.xi_agg, params.C_quad,
@@ -338,9 +340,9 @@ class TestDegenerateNumeric:
 
     @pytest.mark.parametrize("window", [None, 150.0])
     def test_folded_dwm_axis_matches_the_full_table(self, phi_window, window):
-        """phi = coeff_m dwm^2 is even in dwm, so summing the dwm >= 0 half
-        of the symmetric panel layout with doubled weights gives the sum
-        over the whole table."""
+        """phi = sign v^2 is even in v = sqrt|coeff_m| dwm, so summing the
+        v >= 0 half of the symmetric panel layout with doubled weights gives
+        the sum over the whole table."""
         if window is not None:
             phi_window(window)
         material, beams, bandwidth = degenerate_setup(4e-3)
@@ -352,17 +354,59 @@ class TestDegenerateNumeric:
         )
         coeff_m = 0.25 * self.KAPPA0 * beams.crystal_length
         params = overlap_params(beams)
-        edges, _ = _dwm_panel_edges(coeff_m, 2, d["phi_halfwidth"])
-        dwm, dwm_w = panel_nodes(edges, 8)
-        assert 2 * fine["dwm_nodes"] == dwm.size
+        # m panels of equal phase Phi / m on each side: edges +-sqrt(Phi k / m)
+        m = max(2, math.ceil(d["phi_halfwidth"] / (2 * math.pi)))
+        half = np.sqrt(d["phi_halfwidth"] * np.arange(m + 1) / m)
+        v, v_w = panel_nodes(np.concatenate((-half[::-1], half[1:])), 8)
+        assert 2 * fine["dwm_nodes"] == v.size
         x, x_w = _pump_rule(fine["pump_rule_order"])
-        axial = ell_integral(coeff_m * dwm ** 2, params.xi_agg, params.C_quad,
-                             offsets=coeff_p * bandwidth * x)
+        axial = ell_integral(math.copysign(1.0, coeff_m) * v ** 2, params.xi_agg,
+                             params.C_quad, offsets=coeff_p * bandwidth * x)
         amplitude = _jsa_prefactor(material, beams, CONSTANTS) * abs(
             overlap_prefactor(material.chi2_eff, beams.waists(), params.D_norm)
         )
-        full = 0.5 * amplitude * amplitude * float(x_w @ (np.abs(axial) ** 2 @ dwm_w))
+        jacobian = abs(coeff_m) ** -0.5  # d(dwm) = jacobian dv
+        full = 0.5 * amplitude * amplitude * jacobian * float(
+            x_w @ (np.abs(axial) ** 2 @ v_w))
         assert abs(d["window_integral"] / full - 1.0) <= 1e-14
+
+
+class TestDetuningJacobian:
+    """d(dwm) = |coeff_m|^(-1 / power) dv: the detuning scale is one exact factor.
+
+    The passes run over v, where phi = sign v^power, so the scale of dwm
+    changes the oracle only through that factor. On the degenerate path
+    pairs * sqrt|kappa0| is the same at any kappa0, out to 1e-300 and
+    1e300; on the linear path the closed form scales with 1 / |ng_1 - ng_2|
+    exactly as the oracle does, so their ratio, one plus the
+    ``rate --oracle`` deviation, does not move with ng_2.
+    """
+
+    @pytest.mark.parametrize("path, scale", [
+        ("degenerate", 1e-300), ("degenerate", 1e300), ("linear", 1e-6), ("linear", 30.0),
+    ])
+    def test_scale_is_one_factor(self, ppktp_material, ppktp_base_beams, path, scale):
+        import dataclasses
+        if path == "degenerate":
+            material, beams, bandwidth = degenerate_setup(4e-3)
+
+            def invariant(kappa0):
+                res = pairs_degenerate_numeric(material, beams, bandwidth, kappa0)
+                return res.pairs_per_pump_photon * math.sqrt(abs(kappa0))
+
+            reference = invariant(1e-25)
+        else:
+            # ng_2 moves to ng_1 + scale (ng_2 - ng_1); the phase indices stay
+            beams = equal_focus_beams(ppktp_base_beams, 1.0)
+            m = ppktp_material
+
+            def invariant(scale):
+                moved = dataclasses.replace(m, ng_2=m.ng_1 + scale * (m.ng_2 - m.ng_1))
+                return (pairs_via_bruteforce(moved, beams).pairs_per_s_per_mW
+                        / pairs_closed_form(moved, beams).pairs_per_s_per_mW)
+
+            reference = invariant(1.0)
+        assert abs(invariant(scale) / reference - 1.0) <= 1e-13
 
 
 class TestOraclePinned:
@@ -472,11 +516,11 @@ class TestOracleSweep:
         beams = equal_focus_beams(beams, xi)
         windows = []
 
-        def edges(coeff_m, power, phi_halfwidth):
-            windows.append(phi_halfwidth)
-            return _dwm_panel_edges(coeff_m, power, phi_halfwidth)
+        def window(xi_agg):
+            windows.append(_auto_phi_halfwidth(xi_agg))
+            return windows[-1]
 
-        monkeypatch.setattr("spdc.rates._dwm_panel_edges", edges)
+        monkeypatch.setattr("spdc.rates._auto_phi_halfwidth", window)
         with pytest.raises(DomainError, match=r"\|phi\| = .*, xi = "):
             if degenerate:
                 pairs_degenerate_numeric(dataclasses.replace(material, ng_2=material.ng_1),
