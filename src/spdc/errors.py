@@ -26,11 +26,6 @@ class DegenerateDispersionError(SpdcError, ValueError):
     """
 
 
-class OverlapSingularityError(SpdcError, ValueError):
-    """Denominator of the reduced overlap integrand passes too close to zero
-    inside the integration interval (extreme-focusing regime)."""
-
-
 class QuadratureError(SpdcError, RuntimeError):
     """Numerical integration failed to reach the requested tolerance.
 

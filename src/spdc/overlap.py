@@ -9,13 +9,14 @@ l = 2z/Lz with aggregate parameters (xi, C, D) (Bennink, Phys. Rev. A 81,
 (xi, C, D, A+B+) unchecked; ``overlap_params`` is the one checked path and
 raises DegenerateConfigurationError naming each one not finite.
 
-Both denominators are quadratics held as complex coefficients (c2, c1, c0):
-the reduced one (-C xi^2, i xi, 1), the direct one expanded from the linear
-beam parameters. Their closed-form roots size the panels (at most ~pi of
-phase and half the distance to the nearest root; a poled crystal's domains
-split alike, one sign per panel, which ``quadrature.complex_quad`` applies),
-and the integrand is one Horner polynomial, one exp and one division per
-node.
+Both forms integrate exp(-i rate x) / (c2 x^2 + c1 x + c0) through one
+routine, ``_axial_integral``: the reduced denominator (-C xi^2, i xi, 1),
+the direct one expanded from the linear beam parameters. The closed-form
+roots size the panels (at most ~pi of phase and half the distance to the
+nearest root, so a near-pole passes ``quadrature.MAX_PANELS`` and raises
+QuadratureError); they are even on an unpoled interval, and a poled
+crystal's domains split alike, one sign per panel, which
+``quadrature.complex_quad`` applies.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .beams import BeamTriple
-from .errors import DegenerateConfigurationError, DomainError, OverlapSingularityError
+from .errors import DegenerateConfigurationError, DomainError
 from .materials import MaterialOptics, domain_walls
-from .quadrature import complex_quad, panel_count, panel_edges
+from .quadrature import complex_quad, panel_count
 
-# refuse the reduced integrand when its denominator dips below this
-_MIN_DENOMINATOR = 1e-6
 # phase one quadrature panel may span: a little over pi, so that a poling
 # domain anywhere in the central first-order QPM lobe, pi (1 + period / 2 Lz)
 # of phase, stays one panel
@@ -139,19 +138,6 @@ def overlap_prefactor(chi_eff: float, waists: tuple, D_norm: float) -> complex:
     return -1j * chi_eff * math.sqrt(2.0 / math.pi) * w_p * w_1 * w_2 * D_norm
 
 
-def _denominator_minimum(xi: float, C: float) -> float:
-    """Minimum of |1 + i l xi - C xi^2 l^2| over l in [-1, 1]."""
-    # |den|^2 = (1 - C xi^2 u)^2 + xi^2 u with u = l^2 in [0, 1]
-    xi2 = xi * xi
-    candidates = [0.0, 1.0]
-    if C != 0.0:
-        u_star = (2.0 * C - 1.0) / (2.0 * C * C * xi2) if xi2 > 0.0 else -1.0
-        if 0.0 < u_star < 1.0:
-            candidates.append(u_star)
-    vals = [(1.0 - C * xi2 * u) ** 2 + xi2 * u for u in candidates]
-    return math.sqrt(min(vals))
-
-
 def _quadratic_roots(c2, c1, c0) -> tuple:
     """Roots of c2 x^2 + c1 x + c0 (not all zero), free of cancellation.
 
@@ -184,12 +170,6 @@ def _panel_width(coeffs: tuple, lo: float, hi: float, rate: float) -> float:
     return width if rate == 0.0 else min(width, _MAX_PANEL_PHASE / abs(rate))
 
 
-def _integrand(coeffs: tuple, rate: float):
-    """x -> exp(-i rate x) / ((c2 x + c1) x + c0)."""
-    c2, c1, c0 = coeffs
-    return lambda x: np.exp(-1j * rate * x) / ((c2 * x + c1) * x + c0)
-
-
 def _direct_coefficients(beams: BeamTriple) -> tuple:
     """(c2, c1, c0) in z of qb_p qb_1* + qb_p qb_2* + qb_1* qb_2*, where
     qb_j(z) = a_j + b_j z with a_j = -w0_j^2 - (2i/k_j) z0_j and b_j = 2i/k_j."""
@@ -203,17 +183,28 @@ def _direct_coefficients(beams: BeamTriple) -> tuple:
 
 def _domain_panels(Lz: float, period: float | None, width: float) -> tuple:
     """Edges on [-Lz/2, Lz/2] splitting each domain alike into panels <= ``width``, and
-    each panel's sign: +1 first, as in ``materials.poling_profile``; None unpoled."""
-    domain = Lz if period is None else min(Lz, 0.5 * period)
+    each panel's sign: +1 first, as in ``materials.poling_profile``. Unpoled
+    (``period`` None), evenly spaced edges and no signs."""
+    if period is None:
+        return np.linspace(-0.5 * Lz, 0.5 * Lz, panel_count(Lz, width) + 1), None
+    domain = min(Lz, 0.5 * period)
     per_domain = panel_count(domain, width)
     # raises past the panel cap before the domain walls are built
     panel_count(Lz, domain / per_domain)
     walls = np.concatenate(([-0.5 * Lz], domain_walls(period, Lz), [0.5 * Lz]))
     steps = np.arange(per_domain) / per_domain
     edges = np.append(walls[:-1, None] + np.outer(np.diff(walls), steps), walls[-1])
-    if period is None:
-        return edges, None
     return edges, np.repeat(1.0 - 2.0 * (np.arange(len(walls) - 1) % 2), per_domain)
+
+
+def _axial_integral(coeffs: tuple, rate: float, half: float, period: float | None,
+                    quad_tol: float) -> complex:
+    """Integral over [-half, half] of exp(-i rate x) / ((c2 x + c1) x + c0), times the
+    poling sign of ``period`` (None unpoled), to ``quad_tol`` by ``complex_quad``."""
+    c2, c1, c0 = coeffs
+    edges, signs = _domain_panels(2.0 * half, period, _panel_width(coeffs, -half, half, rate))
+    return complex_quad(lambda x: np.exp(-1j * rate * x) / ((c2 * x + c1) * x + c0),
+                        edges, quad_tol, signs)[0]
 
 
 def overlap_simplified(params: OverlapParams, chi_eff: float, w_p: float, w_1: float,
@@ -224,23 +215,16 @@ def overlap_simplified(params: OverlapParams, chi_eff: float, w_p: float, w_1: f
         * integral of exp(-i phi l / 2) / (1 + i l xi - C xi^2 l^2).
 
     Exact for any C (no small-C approximation is made here). A denominator
-    root approaching the integration interval, possible only for extreme
-    focusing with large C, raises instead of silently integrating through a
-    near-pole. Units m/V * m.
+    root near the integration interval, possible only for extreme focusing
+    with large C, narrows the panels to half its distance from [-1, 1]; past
+    ``MAX_PANELS`` panels (a root within 8e-5 of the interval at phi = 0)
+    the layout raises QuadratureError instead of integrating through a
+    near-pole. ``Lz`` is not read. Units m/V * m.
     """
     xi, C, phi = params.xi_agg, params.C_quad, params.phi
     if not math.isfinite(phi):
         raise DomainError(f"phase mismatch phi must be finite, got {phi}")
-    if _denominator_minimum(xi, C) < _MIN_DENOMINATOR:
-        raise OverlapSingularityError(
-            f"reduced denominator reaches |1 + i l xi - C xi^2 l^2| < "
-            f"{_MIN_DENOMINATOR:g} inside [-1, 1] (xi={xi:.4g}, C={C:.4g}); "
-            "configuration outside the validity of the reduced form"
-        )
-    coeffs = (-C * xi * xi, 1j * xi, 1.0)
-    width = _panel_width(coeffs, -1.0, 1.0, 0.5 * phi)
-    value, _err = complex_quad(_integrand(coeffs, 0.5 * phi),
-                               panel_edges(-1.0, 1.0, width), quad_tol)
+    value = _axial_integral((-C * xi * xi, 1j * xi, 1.0), 0.5 * phi, 1.0, None, quad_tol)
     return overlap_prefactor(chi_eff, (w_p, w_1, w_2), params.D_norm) * value
 
 
@@ -259,10 +243,7 @@ def overlap_direct(beams: BeamTriple, material: MaterialOptics, delta_k: float,
     """
     if not math.isfinite(delta_k):
         raise DomainError(f"delta_k must be finite, got {delta_k}")
-    Lz = beams.crystal_length
-    coeffs = _direct_coefficients(beams)
-    width = _panel_width(coeffs, -0.5 * Lz, 0.5 * Lz, delta_k)
-    edges, signs = _domain_panels(Lz, material.poling_period, width)
-    value, _err = complex_quad(_integrand(coeffs, delta_k), edges, quad_tol, signs)
+    value = _axial_integral(_direct_coefficients(beams), delta_k, 0.5 * beams.crystal_length,
+                            material.poling_period, quad_tol)
     w_p, w_1, w_2 = beams.waists()
     return -1j * material.chi2_eff * math.sqrt(8.0 / math.pi) * w_p * w_1 * w_2 * value

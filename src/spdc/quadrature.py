@@ -5,7 +5,7 @@ caller chooses, evaluated on whole arrays of nodes at once: ``complex_quad``
 for the one-off overlap integrals, which compares the order-8 and order-16
 sums over the same panels for its error estimate, ``ell_integral`` for the
 batches of axial integrals inside the brute-force rate integrals, and
-``panel_edges``/``panel_nodes`` for the layouts. ``ell_integral`` uses one
+``panel_count``/``panel_nodes`` for the layouts. ``ell_integral`` uses one
 rule per call, sized by the call's largest |phi|, with its folded nodes
 and weights cached by rule, xi and C. Its integrand is conjugate at l and
 -l, so the axial integral is real and is returned as a float: the rule is
@@ -194,11 +194,6 @@ def panel_count(length: float, max_width: float) -> int:
     count = length / max_width if max_width > 0.0 else math.inf
     _check_panel_count(count)
     return max(1, math.ceil(count))
-
-
-def panel_edges(lo: float, hi: float, max_width: float) -> np.ndarray:
-    """Uniform panel edges covering [lo, hi] with width <= max_width."""
-    return np.linspace(lo, hi, panel_count(hi - lo, max_width) + 1)
 
 
 def panel_nodes(edges: np.ndarray, order: int):

@@ -76,10 +76,11 @@ class RateResult:
     left after the analytic 1/phi^2 tail has been added to the window
     integral. For the brute-force path ``diagnostics`` holds the method,
     the phi window Phi and its dwm edge jacobian Phi^(1 / power) (the
-    passes run over v = dwm / jacobian), each pass's node count and
-    (rows, columns) phi grid under ``passes`` (in-panel nodes by panels on
-    the linear path, whose pump axis integrates out; pump rows by v nodes,
-    with the Gauss-Hermite pump order, on the degenerate path), the raw
+    passes run over v = dwm / jacobian), each pass's dwm node count over
+    both sides of dwm = 0 and (rows, columns) phi grid under ``passes``
+    (in-panel nodes by panels on the linear path, whose pump axis
+    integrates out; pump rows by the v >= 0 nodes, with the Gauss-Hermite
+    pump order, on the degenerate path), the raw
     ``window_integral`` and the ``tail_correction`` (pairs per pump photon,
     summing to the result) and the three estimate terms; informational only.
     """
@@ -363,7 +364,7 @@ def _bruteforce_rate(
                 axial = ell_integral(sign * v * v, xi, C,
                                      offsets=coeff_p * pump_bandwidth * x)
                 sums.append(float(x_w @ ((axial * axial) @ (2.0 * v_w))))
-                grids.append({"pump_rule_order": pump_order, "dwm_nodes": v_w.size,
+                grids.append({"pump_rule_order": pump_order, "dwm_nodes": 2 * v_w.size,
                               "phi_grid": axial.shape})
     fine, coarse = sums
     passes = dict(zip(("fine", "coarse"), grids))
@@ -402,9 +403,12 @@ def _bruteforce_rate(
     to_pairs = 0.5 * amplitude * amplitude * jacobian
     n_pairs = to_pairs * total
     omega_p = _angular_frequency(beams.pump.lambda_vac, constants)
+    rate = pairs_per_second(n_pairs, _MILLIWATT, omega_p, constants)
+    if not math.isfinite(rate):  # also catches a non-finite n_pairs
+        raise DomainError(f"brute-force rate {rate:.4g} per s per mW is not finite")
     return RateResult(
         pairs_per_pump_photon=n_pairs,
-        pairs_per_s_per_mW=pairs_per_second(n_pairs, _MILLIWATT, omega_p, constants),
+        pairs_per_s_per_mW=rate,
         xi_agg=xi,
         a_plus_b_plus=params.a_plus_b_plus,
         method=METHOD_BRUTE_FORCE,

@@ -216,6 +216,16 @@ class TestRateCommand:
             assert len(lines) == 1
             assert lines[0].startswith("error: difference-detuning coefficient 0 ")
 
+    def test_overflowing_degenerate_rate_is_one_error_line(self, capsys, tmp_path):
+        doc = load_json(PPKTP_CONFIG)
+        doc["material"]["d_eff_m_per_V"] = 1e150
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        code, out, err = run_cli(capsys, "rate", "--config", cfg, "--degenerate",
+                                 "--kappa0", "1e-25")
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.splitlines() == ["error: brute-force rate inf per s per mW is not finite"]
+
     def test_negative_kappa0_in_either_spelling(self, capsys):
         # anomalous GVD: argparse would take a spaced -1e-25 for an option
         args = ("rate", "--config", PPKTP_CONFIG, "--degenerate")

@@ -19,7 +19,6 @@ from spdc.beams import BeamTriple, GaussianMode, scaled_beam_parameter
 from spdc.errors import (
     DegenerateConfigurationError,
     DomainError,
-    OverlapSingularityError,
     QuadratureError,
     SpdcError,
 )
@@ -69,6 +68,17 @@ def random_beam_config(rng):
     )
     delta_k = rng.uniform(-2.0, 2.0) * 2.0 * math.pi / Lz
     return beams, material, delta_k
+
+
+def adaptive_axial(xi, C, phi):
+    """Adaptive reference for the integral over l in [-1, 1] of
+    exp(-i phi l / 2) / (1 + i l xi - C xi^2 l^2), to 1e-12 absolute per part."""
+    def part(fn):
+        return quad(lambda l: fn(np.exp(-0.5j * phi * l)
+                                 / (1.0 + 1j * l * xi - C * xi * xi * l * l)),
+                    -1.0, 1.0, epsabs=1e-12, epsrel=0.0, limit=200)[0]
+
+    return part(np.real) + 1j * part(np.imag)
 
 
 def adaptive_overlap_direct(beams, material, delta_k, tol=1e-13):
@@ -285,8 +295,35 @@ class TestOverlapSimplified:
         # large C with tiny xi parks a denominator root on the interval
         params = OverlapParams(xi_agg=1e-7, C_quad=1e14, D_norm=3.2e11,
                                a_plus_b_plus=4.0, phi=0.0)
-        with pytest.raises(OverlapSingularityError):
+        with pytest.raises(QuadratureError, match="cap"):
             overlap_simplified(params, 4.8e-12, 26e-6, 38e-6, 37e-6, 1e-2)
+
+    @pytest.mark.parametrize("phi", [0.0, 7.0])
+    def test_panel_cap_refuses_every_near_pole(self, phi):
+        # C xi^2 = 1 +- eps puts a root within ~max(eps, xi) of l = +-1, so
+        # |1 +- i xi - C xi^2| < 1e-6 there; the panels, at most half the
+        # root's distance wide, then pass the cap
+        rng = np.random.default_rng(29)
+        n = 1000
+        xi = 10.0 ** rng.uniform(-12.0, -6.5, n)
+        eps = 10.0 ** rng.uniform(-12.0, -6.5, n) * rng.choice([-1.0, 1.0], n)
+        C = (1.0 + eps) / (xi * xi)
+        assert np.all(np.abs(1.0 + 1j * xi - C * xi * xi) < 1e-6)
+        for x, c in zip(xi.tolist(), C.tolist()):
+            params = OverlapParams(xi_agg=x, C_quad=c, D_norm=1.0, a_plus_b_plus=4.0,
+                                   phi=phi)
+            with pytest.raises(QuadratureError, match="cap"):
+                overlap_simplified(params, 1.0, 1.0, 1.0, 1.0, 1e-2)
+
+    def test_root_just_outside_the_interval_is_integrated(self):
+        # C xi^2 = 1 / 1.001^2 puts the roots 1e-3 beyond l = +-1: 4,000
+        # panels, within the cap
+        xi, phi = 1e-9, 3.0
+        C = 1.0 / (1.001 * xi) ** 2
+        params = OverlapParams(xi_agg=xi, C_quad=C, D_norm=1.0, a_plus_b_plus=4.0, phi=phi)
+        got = overlap_simplified(params, 1.0, 1.0, 1.0, 1.0, 1e-2)
+        expected = -1j * math.sqrt(2 / math.pi) * adaptive_axial(xi, C, phi)
+        assert abs(got - expected) <= 1e-10 * abs(expected)
 
     @pytest.mark.parametrize("xi", [1e200, math.nan])
     def test_non_finite_denominator_rejected(self, xi):
@@ -302,16 +339,7 @@ class TestOverlapSimplified:
         params = OverlapParams(xi, C, 1.0, 41.3193483938146, phi)
         got = overlap_simplified(params, 4.8e-12, 1e-5, 1e-5, 1e-5, 1e-2,
                                  quad_tol=1e-9)
-
-        def part(fn):
-            return quad(
-                lambda l: fn(np.exp(-0.5j * phi * l)
-                             / (1.0 + 1j * l * xi - C * xi * xi * l * l)),
-                -1.0, 1.0, epsabs=1e-12, epsrel=0.0, limit=200,
-            )[0]
-
-        axial = part(np.real) + 1j * part(np.imag)
-        expected = -1j * 4.8e-12 * math.sqrt(2 / math.pi) * 1e-15 * axial
+        expected = -1j * 4.8e-12 * math.sqrt(2 / math.pi) * 1e-15 * adaptive_axial(xi, C, phi)
         assert math.isfinite(abs(got))
         assert abs(got - expected) <= 1e-9 * 4.8e-12 * 1e-15 * 2.0
 

@@ -295,6 +295,32 @@ def degenerate_setup(Lz, waist=2e-3):
     return material, beams, 1e10  # pump bandwidth, rad/s
 
 
+class TestOverflowingOracleRate:
+    """The oracles refuse a rate that overflows, as the closed form does."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        cfg = load_config(CONFIG_DIR / "ppktp_type2.json")
+        return cfg.material_optics(), cfg.beam_triple(), cfg.pump_bandwidth
+
+    @pytest.mark.parametrize("d_eff", [1e150, 1e160])
+    def test_non_finite_rate_raises(self, setup, d_eff):
+        import dataclasses
+        material, beams, bandwidth = setup
+        huge = dataclasses.replace(material, d_eff=d_eff)
+        with pytest.raises(DomainError, match="brute-force rate inf per s per mW is not finite"):
+            pairs_via_bruteforce(huge, beams)
+        with pytest.raises(DomainError, match="brute-force rate inf per s per mW is not finite"):
+            pairs_degenerate_numeric(huge, beams, bandwidth, 1e-25)
+
+    def test_largest_finite_rate_stays(self, setup):
+        import dataclasses
+        material, beams, _ = setup
+        large = dataclasses.replace(material, d_eff=1e140)
+        for result in (pairs_via_bruteforce(large, beams), pairs_closed_form(large, beams)):
+            assert result.pairs_per_s_per_mW == pytest.approx(1.4228e308, rel=1e-4)
+
+
 class TestDegenerateNumeric:
     KAPPA0 = 1e-25  # s^2/m, representative normal GVD at degeneracy
 
@@ -358,7 +384,7 @@ class TestDegenerateNumeric:
         m = max(2, math.ceil(d["phi_halfwidth"] / (2 * math.pi)))
         half = np.sqrt(d["phi_halfwidth"] * np.arange(m + 1) / m)
         v, v_w = panel_nodes(np.concatenate((-half[::-1], half[1:])), 8)
-        assert 2 * fine["dwm_nodes"] == v.size
+        assert fine["dwm_nodes"] == v.size
         x, x_w = _pump_rule(fine["pump_rule_order"])
         axial = ell_integral(math.copysign(1.0, coeff_m) * v ** 2, params.xi_agg,
                              params.C_quad, offsets=coeff_p * bandwidth * x)
@@ -369,6 +395,17 @@ class TestDegenerateNumeric:
         full = 0.5 * amplitude * amplitude * jacobian * float(
             x_w @ (np.abs(axial) ** 2 @ v_w))
         assert abs(d["window_integral"] / full - 1.0) <= 1e-14
+
+
+    def test_both_oracles_count_dwm_nodes_alike(self, ppktp_material, ppktp_base_beams,
+                                                narrowband_pump):
+        # the degenerate path folds its table onto v >= 0 and counts both sides
+        beams = equal_focus_beams(ppktp_base_beams, 1.0)
+        linear = pairs_via_bruteforce(ppktp_material, beams).diagnostics["passes"]
+        degenerate = pairs_degenerate_numeric(ppktp_material, beams, narrowband_pump,
+                                              self.KAPPA0).diagnostics["passes"]
+        for name in ("fine", "coarse"):
+            assert degenerate[name]["dwm_nodes"] == linear[name]["dwm_nodes"]
 
 
 class TestDetuningJacobian:
