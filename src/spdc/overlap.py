@@ -14,9 +14,12 @@ routine, ``_axial_integral``: the reduced denominator (-C xi^2, i xi, 1),
 the direct one expanded from the linear beam parameters. The closed-form
 roots size the panels (at most ~pi of phase and half the distance to the
 nearest root, so a near-pole passes ``quadrature.MAX_PANELS`` and raises
-QuadratureError); they are even on an unpoled interval, and a poled
-crystal's domains split alike, one sign per panel, which
-``quadrature.complex_quad`` applies.
+QuadratureError). ``_domain_panels`` lays them out as runs of equal panels:
+one run on an unpoled interval; on a poled crystal every domain splits
+alike, one run for all domains but the last and one for the last, each
+panel carrying its domain's sign. ``quadrature.complex_quad`` takes the
+oscillation exp(-i rate x) apart, one exponential per panel, so the
+integrand it evaluates is the bare 1 / (c2 x^2 + c1 x + c0).
 """
 
 from __future__ import annotations
@@ -181,20 +184,30 @@ def _direct_coefficients(beams: BeamTriple) -> tuple:
             ap * (a1 + a2) + a1 * a2)
 
 
-def _domain_panels(Lz: float, period: float | None, width: float) -> tuple:
-    """Edges on [-Lz/2, Lz/2] splitting each domain alike into panels <= ``width``, and
-    each panel's sign: +1 first, as in ``materials.poling_profile``. Unpoled
-    (``period`` None), evenly spaced edges and no signs."""
+def _domain_panels(Lz: float, period: float | None, width: float) -> list:
+    """Runs of equal panels <= ``width`` on [-Lz/2, Lz/2], as ``complex_quad`` takes them:
+    (left edges, panel width, one sign per panel or None).
+
+    Unpoled (``period`` None), one run and no signs. Poled, every domain
+    splits alike into panels that carry its sign, +1 first, as in
+    ``materials.poling_profile``: one run for every domain but the last, and
+    one for the last, which the crystal end may cut short.
+    """
     if period is None:
-        return np.linspace(-0.5 * Lz, 0.5 * Lz, panel_count(Lz, width) + 1), None
+        count = panel_count(Lz, width)
+        return [(-0.5 * Lz + (Lz / count) * np.arange(count), Lz / count, None)]
     domain = min(Lz, 0.5 * period)
     per_domain = panel_count(domain, width)
     # raises past the panel cap before the domain walls are built
     panel_count(Lz, domain / per_domain)
-    walls = np.concatenate(([-0.5 * Lz], domain_walls(period, Lz), [0.5 * Lz]))
-    steps = np.arange(per_domain) / per_domain
-    edges = np.append(walls[:-1, None] + np.outer(np.diff(walls), steps), walls[-1])
-    return edges, np.repeat(1.0 - 2.0 * (np.arange(len(walls) - 1) % 2), per_domain)
+    starts = np.append(-0.5 * Lz, domain_walls(period, Lz))
+    signs = 1.0 - 2.0 * (np.arange(starts.size) % 2)
+    steps = np.arange(per_domain)
+    # every domain is half a period wide but the last, which the crystal end may cut short
+    runs = ((starts[:-1], signs[:-1], 0.5 * period),
+            (starts[-1:], signs[-1:], 0.5 * Lz - starts[-1]))
+    return [((first[:, None] + size / per_domain * steps).ravel(), size / per_domain,
+             np.repeat(sign, per_domain)) for first, sign, size in runs if first.size]
 
 
 def _axial_integral(coeffs: tuple, rate: float, half: float, period: float | None,
@@ -202,9 +215,8 @@ def _axial_integral(coeffs: tuple, rate: float, half: float, period: float | Non
     """Integral over [-half, half] of exp(-i rate x) / ((c2 x + c1) x + c0), times the
     poling sign of ``period`` (None unpoled), to ``quad_tol`` by ``complex_quad``."""
     c2, c1, c0 = coeffs
-    edges, signs = _domain_panels(2.0 * half, period, _panel_width(coeffs, -half, half, rate))
-    return complex_quad(lambda x: np.exp(-1j * rate * x) / ((c2 * x + c1) * x + c0),
-                        edges, quad_tol, signs)[0]
+    runs = _domain_panels(2.0 * half, period, _panel_width(coeffs, -half, half, rate))
+    return complex_quad(lambda x: 1.0 / ((c2 * x + c1) * x + c0), runs, quad_tol, rate)[0]
 
 
 def overlap_simplified(params: OverlapParams, chi_eff: float, w_p: float, w_1: float,

@@ -12,9 +12,12 @@ and weights cached by rule, xi and C. Its integrand is conjugate at l and
 folded onto its nodes x >= 0, and J offsets by M phases on an n-node rule
 cost (J + M) ceil(n / 2) complex exponentials and one real matrix product.
 No layout may hold more than ``MAX_PANELS`` panels; one that would raises
-before its nodes are built. ``complex_quad`` walks a long layout in blocks
-of ``_BLOCK_PANELS`` panels, so its arrays stay small whatever the layout.
-Summation order is fixed everywhere, so results are deterministic.
+before its nodes are built. ``complex_quad`` takes its layout as runs of
+equal panels and an oscillation exp(-i rate x) apart from the integrand:
+one exponential per panel and one table per run instead of one per node.
+It walks a long run in blocks of ``_BLOCK_PANELS`` panels, one integrand
+call per block on both rules' nodes, so its arrays stay small whatever the
+layout. Summation order is fixed everywhere, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ def _ell_weights(n: int, xi: float, C: float):
 MAX_PANELS = 50_000
 # the lower of the two Gauss-Legendre orders complex_quad compares
 _PANEL_ORDER = 8
-# panels complex_quad evaluates at once: an order-16 block is 4096 nodes, 64 KiB
-# of complex values, which stays in cache and in malloc's reused heap instead
-# of mapping and faulting in fresh pages for each array of a long layout
+# panels complex_quad evaluates at once: a fused order-8 + order-16 block is 6,144
+# nodes, 96 KiB of complex values, which stays in cache and in malloc's reused
+# heap instead of mapping and faulting in fresh pages for each array of a long
+# layout
 _BLOCK_PANELS = 256
 
 
@@ -71,44 +75,66 @@ def _check_panel_count(count: float):
         )
 
 
-def _times_sign(values, sign):
-    """Panel-major ``values`` times a column of per-panel factors; unchanged for None."""
-    return values if sign is None else (values.reshape(sign.size, -1) * sign).ravel()
+@lru_cache(maxsize=None)
+def _fused_rule():
+    """The order-8 and order-16 Gauss-Legendre rules as one 24-node rule on [0, 1], read-only.
+
+    Returns the nodes u = (1 + t) / 2, the order-8 ones first, and a (24, 2)
+    matrix of the weights w / 2: the order-8 weights in the first column,
+    the order-16 ones in the second, each zero on the other rule's nodes.
+    """
+    (t8, w8), (t16, w16) = gauss_legendre(_PANEL_ORDER), gauss_legendre(2 * _PANEL_ORDER)
+    u = 0.5 * (1.0 + np.concatenate((t8, t16)))
+    w = np.zeros((u.size, 2))
+    w[:_PANEL_ORDER, 0] = 0.5 * w8
+    w[_PANEL_ORDER:, 1] = 0.5 * w16
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
-def complex_quad(f, edges, tol: float, signs=None):
-    """Integrate a vectorised complex integrand over the panels between ``edges``.
+def complex_quad(f, runs, tol: float, rate: float = 0.0):
+    """Integrate exp(-i rate x) f(x) over runs of equal panels.
 
-    ``f`` takes an array of abscissae and returns the integrand there. It is
-    called on the order-8 and on the order-16 Gauss-Legendre nodes of every
-    block of at most ``_BLOCK_PANELS`` panels. ``signs``, if given, holds
-    one real factor per panel that multiplies f on that panel (a poling
-    sign). The order-16 sum is the value and its distance from the order-8
-    sum the error estimate. ``tol`` is relative to the larger of |value|
-    and the order-16 sum of |f|, which stays away from zero where an
-    oscillating integrand cancels. Returns (value, error_estimate). Raises
-    QuadratureError, carrying the estimate, when the estimate is over that
-    budget or not finite, and before evaluating anything when ``edges`` has
-    more than ``MAX_PANELS`` panels.
+    ``runs`` holds (lefts, width, signs) triples: the left edges of panels
+    of one ``width``, and one real factor per panel that multiplies the
+    integrand on it (a poling sign), or None. ``f`` takes an array of
+    abscissae and returns the rest of the integrand there; it is called
+    once per block of at most ``_BLOCK_PANELS`` panels of a run, on the
+    block's order-8 and order-16 Gauss-Legendre nodes together. The
+    oscillation splits at the node x = a + width u of the panel at a into
+    exp(-i rate a) exp(-i rate width u): one exponential per panel, which
+    takes the panel's sign, and one 24-entry table per run. The order-16
+    sum is the value and its distance from the order-8 sum the error
+    estimate. ``tol`` is relative to the larger of |value| and the order-16
+    sum of |f|, which stays away from zero where an oscillating integrand
+    cancels. Returns (value, error_estimate). Raises QuadratureError,
+    carrying the estimate, when the estimate is over that budget or not
+    finite, and before evaluating anything when ``runs`` hold more than
+    ``MAX_PANELS`` panels.
     """
     if not (tol > 0.0):
         raise QuadratureError(f"quadrature tolerance must be positive, got {tol}")
-    n_panels = len(edges) - 1
-    _check_panel_count(n_panels)
-    coarse = value = 0j
+    _check_panel_count(sum(len(lefts) for lefts, _, _ in runs))
+    u, w = _fused_rule()
+    w16 = w[_PANEL_ORDER:, 1]
+    sums = np.zeros(2, dtype=complex)  # (order 8, order 16)
     scale = 0.0
-    for lo in range(0, n_panels, _BLOCK_PANELS):
-        block = edges[lo:lo + _BLOCK_PANELS + 1]
-        sign = None if signs is None else signs[lo:lo + _BLOCK_PANELS, None]
-        nodes, weights = panel_nodes(block, _PANEL_ORDER)
-        coarse += weights @ _times_sign(f(nodes), sign)
-        nodes, weights = panel_nodes(block, 2 * _PANEL_ORDER)
-        values = _times_sign(f(nodes), sign)
-        value += weights @ values
-        scale += weights @ np.abs(values)
-    value, coarse = complex(value), complex(coarse)
+    for lefts, width, signs in runs:
+        # per node of a panel: its phase factor times its weights in both rules
+        table = np.exp(-1j * rate * width * u)[:, None] * (width * w)
+        for lo in range(0, len(lefts), _BLOCK_PANELS):
+            a = lefts[lo:lo + _BLOCK_PANELS]
+            values = f((a[:, None] + width * u).ravel()).reshape(a.size, u.size)
+            factor = np.exp(-1j * rate * a)
+            if signs is not None:
+                factor *= signs[lo:lo + _BLOCK_PANELS]
+            # over the panels first: for an oscillating integrand those column
+            # sums cancel as the integral does, and their rounding with them
+            sums += (factor @ values) @ table
+            scale += width * float((np.abs(values[:, _PANEL_ORDER:]) @ w16).sum())
+    coarse, value = map(complex, sums)
     err = abs(value - coarse)
-    budget = tol * max(abs(value), float(scale))
+    budget = tol * max(abs(value), scale)
     if not (math.isfinite(err) and err <= budget):
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} exceeds budget {budget:.3e}",

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 import spdc
 
 from spdc.beams import BeamTriple, GaussianMode, scaled_beam_parameter
+from spdc.config import load_config
 from spdc.errors import (
     DegenerateConfigurationError,
     DomainError,
@@ -27,6 +28,7 @@ from spdc.overlap import (
     OverlapParams,
     _direct_coefficients,
     _domain_panels,
+    _panel_width,
     _quadratic_roots,
     aggregate_parameters,
     overlap_direct,
@@ -34,10 +36,10 @@ from spdc.overlap import (
     overlap_simplified,
     phase_mismatch_coefficients,
 )
-from spdc.quadrature import MAX_PANELS, panel_nodes
+from spdc.quadrature import MAX_PANELS, _fused_rule, complex_quad
 from spdc.rates import equal_focus_beams, pairs_closed_form
 
-from conftest import LAMBDA_1, LAMBDA_2, LAMBDA_P, N_1, N_2, N_P
+from conftest import CONFIG_DIR, LAMBDA_1, LAMBDA_2, LAMBDA_P, N_1, N_2, N_P
 
 
 def random_inputs(rng):
@@ -446,6 +448,21 @@ class TestOverlapDirect:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_near_cap_unpoled_layout_stays_small(self):
+        # 39,960 panels of ~1.1 pi phase on the shipped 1 cm crystal: past the
+        # layout's few floats per panel, one block of nodes at a time
+        config = load_config(CONFIG_DIR / "ppktp_type2.json")
+        beams, material = config.beam_triple(), config.material_optics()
+        dk = 0.999 * 40_000 * 1.1 * math.pi / beams.crystal_length
+        tracemalloc.start()
+        try:
+            value = overlap_direct(beams, material, dk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(abs(value)) and value != 0.0
+        assert peak < 2e6
+
     @pytest.mark.parametrize("dk", [math.nan, math.inf])
     def test_non_finite_mismatch_rejected(self, ppktp_material, ppktp_base_beams, dk):
         with pytest.raises(DomainError, match="delta_k"):
@@ -544,17 +561,67 @@ class TestDirectIntegrandPieces:
     def test_panel_signs_match_poling_profile(self, per_domain_width):
         # 1 mm holds 219.78 half-periods of 9.1 um: the last domain is partial
         Lz, period = 1e-3, 9.1e-6
-        edges, signs = _domain_panels(Lz, period, per_domain_width * 0.5 * period)
-        assert len(signs) == len(edges) - 1
-        for order in (8, 16):
-            nodes, _ = panel_nodes(edges, order)
-            want = poling_profile(nodes, period, Lz)
-            assert np.array_equal(np.repeat(signs, order), want)
+        runs = _domain_panels(Lz, period, per_domain_width * 0.5 * period)
+        u, _ = _fused_rule()
+        for lefts, width, signs in runs:
+            assert len(signs) == len(lefts)
+            nodes = lefts[:, None] + width * u
+            want = poling_profile(nodes.ravel(), period, Lz).reshape(nodes.shape)
+            assert np.array_equal(np.broadcast_to(signs[:, None], nodes.shape), want)
+
+    @pytest.mark.parametrize("period", [9.1e-6, 10e-6])
+    def test_poled_runs_tile_the_crystal(self, period):
+        # every domain but the last in one run, the last in another: partial
+        # at 9.1 um, full to rounding at 10 um; the panels abut from -Lz/2 to
+        # Lz/2
+        Lz = 1e-3
+        (full, step, _), (last, last_step, _) = _domain_panels(Lz, period, 0.3 * 0.5 * period)
+        assert step == 0.5 * period / 4 and len(full) == 4 * (len(domain_walls(period, Lz)))
+        assert len(last) == 4 and last_step <= step * (1.0 + 1e-12)
+        edges = np.concatenate((full, last, [last[-1] + last_step]))
+        widths = np.diff(edges)
+        assert edges[0] == -0.5 * Lz and edges[-1] == pytest.approx(0.5 * Lz, rel=1e-14)
+        assert np.allclose(widths[:len(full)], step, rtol=1e-9, atol=0.0)
+        assert np.allclose(widths[len(full):], last_step, rtol=1e-9, atol=0.0)
 
     def test_unpoled_layout_has_no_signs(self):
-        edges, signs = _domain_panels(1e-2, None, 3e-3)
+        (lefts, width, signs), = _domain_panels(1e-2, None, 3e-3)
         assert signs is None
-        assert np.allclose(np.diff(edges), 2.5e-3, rtol=1e-12, atol=0.0)
+        assert width == 2.5e-3
+        assert np.allclose(lefts, [-5e-3, -2.5e-3, 0.0, 2.5e-3], rtol=1e-12, atol=1e-18)
+
+
+class TestSeparatedOscillation:
+    """``complex_quad`` takes exp(-i rate x) at the node x = a + width u as
+    exp(-i rate a) exp(-i rate width u): one exponential per panel, with the
+    poling sign, and one table per run. On the same nodes this equals the
+    exponential evaluated at every node, to rounding of the integral of |f|,
+    the scale the quadrature budget is relative to."""
+
+    @pytest.mark.parametrize("Lz, period, offset", [
+        (1e-3, 9.1e-6, 0.0),  # partial last domain
+        (1e-3, 9.1e-6, 2.0e3),
+        (1e-2, 9.999999999999999e-06, 0.0),  # 2,001 domains, the last a sliver
+        (1e-2, 9.999999999999999e-06, 150.0),
+        (1e-2, None, 0.999 * 4000 * 1.1 * math.pi / 1e-2),  # 3,996 panels
+    ], ids=["1mm-qpm", "1mm-off", "1cm-sliver-qpm", "1cm-sliver-off", "unpoled-4000"])
+    def test_equals_the_exponential_at_every_node(self, Lz, period, offset):
+        beams = equal_focus_triple(Lz, 1.0, z0=(0.1 * Lz, 0.0, -0.05 * Lz))
+        coeffs = c2, c1, c0 = _direct_coefficients(beams)
+        rate = offset if period is None else 2.0 * math.pi / period + offset
+        runs = _domain_panels(Lz, period, _panel_width(coeffs, -0.5 * Lz, 0.5 * Lz, rate))
+
+        def f(x):
+            return 1.0 / ((c2 * x + c1) * x + c0)
+
+        value, err = complex_quad(f, runs, 1e-9, rate)
+        want, want_err = complex_quad(lambda x: np.exp(-1j * rate * x) * f(x), runs, 1e-9)
+        unsigned = [(lefts, width, None) for lefts, width, _ in runs]
+        scale = complex_quad(lambda x: np.abs(f(x)) + 0j, unsigned, 1e-9)[0].real
+        assert abs(value - want) <= 1e-13 * scale
+        assert abs(err - want_err) <= 1e-13 * scale
+        if period is not None:  # near QPM the value is a sizeable part of the scale
+            assert abs(value - want) <= 1e-13 * abs(want)
 
 
 def extreme_beams(crystal_length=1e-2, waist=None, z0=0.0, indices=None):

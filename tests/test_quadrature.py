@@ -288,6 +288,11 @@ class TestRealValue:
         assert np.max(np.abs(got - unfolded(self.PHASES, OFFSETS + 3.5))) <= 1e-14 * scale
 
 
+def single_panel_runs(edges):
+    """Panels between arbitrary ``edges`` as ``complex_quad`` runs of one panel each."""
+    return [(np.array([lo]), hi - lo, None) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
 class TestComplexQuad:
     def test_exact_on_polynomials_below_degree_16(self):
         # the order-8 rule already integrates degree 15 exactly, so both
@@ -296,7 +301,7 @@ class TestComplexQuad:
         coef = rng.normal(size=16) + 1j * rng.normal(size=16)
         poly = np.polynomial.Polynomial(coef)
         edges = np.array([-1.0, -0.2, 0.3, 2.0])
-        value, err = complex_quad(poly, edges, tol=1e-12)
+        value, err = complex_quad(poly, single_panel_runs(edges), tol=1e-12)
         anti = poly.integ()
         want = anti(edges[-1]) - anti(edges[0])
         assert abs(value - want) <= 1e-13 * abs(want)
@@ -308,33 +313,37 @@ class TestComplexQuad:
             return 1.0 / (x - (0.5 + 1e-3j))
 
         with pytest.raises(QuadratureError) as info:
-            complex_quad(f, np.array([0.0, 1.0]), tol=1e-9)
+            complex_quad(f, [(np.array([0.0]), 1.0, None)], tol=1e-9)
         assert math.isfinite(info.value.estimate) and info.value.estimate > 0.0
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
     def test_tolerance_must_be_positive(self, tol):
         calls = []
         with pytest.raises(QuadratureError, match="tolerance"):
-            complex_quad(calls.append, np.array([0.0, 1.0]), tol=tol)
+            complex_quad(calls.append, [(np.array([0.0]), 1.0, None)], tol=tol)
         assert calls == []
 
     def test_panel_cap_raises_before_evaluating(self):
+        # one panel over the cap, split across two runs
         calls = []
+        runs = [(np.zeros(MAX_PANELS), 1.0, None), (np.ones(1), 1.0, None)]
         with pytest.raises(QuadratureError, match="cap"):
-            complex_quad(calls.append, np.linspace(0.0, 1.0, MAX_PANELS + 2), tol=1e-9)
+            complex_quad(calls.append, runs, tol=1e-9)
         assert calls == []
 
     def test_long_layout_runs_in_bounded_blocks(self):
-        # 1000 panels: four blocks, each call on at most one block's nodes
+        # 1000 panels: four blocks, one call on each block's order-8 and
+        # order-16 nodes together
         sizes = []
 
         def f(x):
             sizes.append(x.size)
             return np.exp(1j * x)
 
-        edges = np.linspace(0.0, 10.0, 1001)
-        value, _ = complex_quad(f, edges, tol=1e-12)
-        assert max(sizes) == 16 * quadrature._BLOCK_PANELS
+        runs = [(np.linspace(0.0, 10.0, 1001)[:-1], 0.01, None)]
+        value, _ = complex_quad(f, runs, tol=1e-12)
+        assert len(sizes) == 4
+        assert max(sizes) == 24 * quadrature._BLOCK_PANELS
         assert sum(sizes) == 24 * 1000
         assert abs(value - (np.exp(10j) - 1.0) / 1j) <= 1e-13
 
@@ -342,12 +351,30 @@ class TestComplexQuad:
         # 700 panels of width pi, three blocks: sin integrates to 2 (-1)^k on
         # panel k, so with signs (-1)^k every panel adds 2
         n = 700
-        edges = np.linspace(0.0, n * math.pi, n + 1)
-        signs = 1.0 - 2.0 * (np.arange(n) % 2)
+        runs = [(math.pi * np.arange(n), math.pi, 1.0 - 2.0 * (np.arange(n) % 2))]
 
         def f(x):
             return np.sin(x) + 0j
 
-        value, err = complex_quad(f, edges, tol=1e-12, signs=signs)
+        value, err = complex_quad(f, runs, tol=1e-12)
         assert abs(value - 2.0 * n) <= 1e-12 * 2.0 * n
         assert err <= 1e-12 * 2.0 * n
+
+    def test_rate_is_the_oscillation_of_the_integrand(self):
+        # exp(-i rate x) f over runs of two widths: the same integral as the
+        # oscillation written into the integrand, and as the closed form, to
+        # rounding of the integral of |f| (< 18), which the value undercuts
+        # a thousandfold
+        rate = 37.0
+        runs = [(0.05 * np.arange(300), 0.05, None), (15.0 + 0.03 * np.arange(100), 0.03, None)]
+        value, err = complex_quad(lambda x: np.cos(x) + 0j, runs, tol=1e-12, rate=rate)
+        per_node, _ = complex_quad(lambda x: np.exp(-1j * rate * x) * np.cos(x), runs, tol=1e-12)
+
+        def anti(x):  # of exp(-i rate x) cos x = (exp(-i (rate - 1) x) + exp(-i (rate + 1) x)) / 2
+            return 0.5j * (np.exp(-1j * (rate - 1.0) * x) / (rate - 1.0)
+                           + np.exp(-1j * (rate + 1.0) * x) / (rate + 1.0))
+
+        want = anti(18.0) - anti(0.0)
+        assert abs(value - want) <= 1e-15 * 18.0
+        assert abs(value - per_node) <= 1e-15 * 18.0
+        assert err <= 1e-12 * abs(want)
